@@ -198,7 +198,7 @@ func BenchmarkScan100kMaterialized(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := db.Query(plan, nil)
+		rows, err := db.QueryCtx(context.Background(), plan, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func BenchmarkPointLookup(b *testing.B) {
 	}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := db.Query(plan, query.Params{"n": int64(i % 10000)})
+		rows, err := db.QueryCtx(context.Background(), plan, query.Params{"n": int64(i % 10000)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c, err := j.Compile(plan)
+	c, err := j.CompileCtx(context.Background(), plan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func main() {
 
 	// Relinking from the persistent code cache is much cheaper.
 	j.InvalidateSession()
-	c2, err := j.Compile(plan)
+	c2, err := j.CompileCtx(context.Background(), plan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncypher signature: %s\n", cplan.Signature())
-	cc, err := j.Compile(cplan)
+	cc, err := j.CompileCtx(context.Background(), cplan)
 	if err != nil {
 		log.Fatal(err)
 	}

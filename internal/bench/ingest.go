@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -10,17 +11,16 @@ import (
 	"poseidon/internal/query"
 )
 
-// Ingest measures the write-optimized ingest trajectory (PR 10): the
-// drain (fence) events each committed IU transaction pays with and
-// without group commit, and bulk-load throughput against the
-// one-transaction-per-entity baseline. Both comparisons run unsharded —
-// group commit batches concurrent single-shard committers into epochs,
-// and the 1-CPU acceptance host has one shard anyway — so the figure is
-// deterministic and scheduling-independent.
-func Ingest(opts Options) (*Table, error) {
+// Ingest measures the write-optimized ingest trajectory: the drain
+// (fence) events each committed IU transaction pays when it commits
+// alone (Tx.Commit, a commit-pipeline group of one) and when it commits
+// in an 8-member CommitBatch group, and bulk-load throughput against the
+// one-transaction-per-entity baseline. Both comparisons run unsharded,
+// so the figure is deterministic and scheduling-independent.
+func Ingest(ctx context.Context, opts Options) (*Table, error) {
 	opts.fill()
 	t := &Table{
-		Name:    "Ingest: group commit fences and bulk-load throughput (unsharded PMem)",
+		Name:    "Ingest: commit fences and bulk-load throughput (unsharded PMem)",
 		Columns: []string{"ktx/s", "drains/txn", "speedup"},
 		Notes: []string{
 			"iu-*: LDBC IU update transactions; grouped commits batch 8 through CommitBatch",
@@ -31,7 +31,7 @@ func Ingest(opts Options) (*Table, error) {
 		},
 	}
 
-	iuPerTxn, iuGroup, err := ingestIU(opts)
+	iuPerTxn, iuGroup, err := ingestIU(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -74,9 +74,9 @@ func (s ingestStat) row(name string, base ingestStat) TableRow {
 }
 
 // ingestIU loads a small dataset, then commits IU update transactions
-// through the per-transaction path and through 8-member group-commit
-// epochs, counting drains around the commit phase only.
-func ingestIU(opts Options) (perTxn, grouped ingestStat, err error) {
+// one at a time and in 8-member CommitBatch groups, counting drains
+// around the commit phase only.
+func ingestIU(ctx context.Context, opts Options) (perTxn, grouped ingestStat, err error) {
 	persons := opts.Persons
 	if persons > 200 {
 		persons = 200
@@ -87,11 +87,9 @@ func ingestIU(opts Options) (perTxn, grouped ingestStat, err error) {
 		iuTxns = 64
 	}
 
-	run := func(group bool) (ingestStat, error) {
-		e, err := core.Open(core.Config{
-			Mode: core.PMem, PoolSize: 512 << 20, Shards: 1,
-			GroupCommit: core.GroupCommitConfig{Enabled: group, MaxBatch: 8},
-		})
+	// groupSize 1 is Tx.Commit's pipeline run of one member.
+	run := func(groupSize int) (ingestStat, error) {
+		e, err := core.Open(core.Config{Mode: core.PMem, PoolSize: 512 << 20, Shards: 1})
 		if err != nil {
 			return ingestStat{}, err
 		}
@@ -115,16 +113,12 @@ func ingestIU(opts Options) (perTxn, grouped ingestStat, err error) {
 
 		// drains/txn counts the commit path only: operation-time
 		// allocation fences are identical across the two variants, so
-		// the commit protocol is where group commit changes the fence
-		// bill per transaction.
+		// the commit group size is what changes the fence bill per
+		// transaction.
 		var st ingestStat
 		start := time.Now()
-		const groupSize = 8
 		batch := make([]*core.Tx, 0, groupSize)
-		flush := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
+		flush := func() {
 			before := e.Device().Stats.Snapshot()
 			for _, err := range e.CommitBatch(batch) {
 				if err == nil {
@@ -133,42 +127,27 @@ func ingestIU(opts Options) (perTxn, grouped ingestStat, err error) {
 			}
 			st.drains += e.Device().Stats.Snapshot().Sub(before).Drains
 			batch = batch[:0]
-			return nil
 		}
 		for i := 0; i < iuTxns; i++ {
 			q := queries[i%len(queries)]
 			params := pg.IUParams(q)
 			tx := e.Begin()
-			if _, err := prepared[i%len(queries)].Collect(tx, params); err != nil {
+			if _, err := prepared[i%len(queries)].CollectCtx(ctx, tx, params); err != nil {
 				// Two in-flight batch members touched the same record:
 				// drain the epoch, then retry against committed state.
 				tx.Abort()
-				if err := flush(); err != nil {
-					return ingestStat{}, err
-				}
+				flush()
 				tx = e.Begin()
-				if _, err := prepared[i%len(queries)].Collect(tx, params); err != nil {
+				if _, err := prepared[i%len(queries)].CollectCtx(ctx, tx, params); err != nil {
 					tx.Abort()
 					return ingestStat{}, err
 				}
 			}
-			if group {
-				if batch = append(batch, tx); len(batch) == groupSize {
-					if err := flush(); err != nil {
-						return ingestStat{}, err
-					}
-				}
-			} else {
-				before := e.Device().Stats.Snapshot()
-				if err := tx.Commit(); err == nil {
-					st.txns++
-				}
-				st.drains += e.Device().Stats.Snapshot().Sub(before).Drains
+			if batch = append(batch, tx); len(batch) == groupSize {
+				flush()
 			}
 		}
-		if err := flush(); err != nil {
-			return ingestStat{}, err
-		}
+		flush()
 		st.elapsed = time.Since(start)
 		if st.txns == 0 {
 			return ingestStat{}, fmt.Errorf("bench: no IU transaction committed")
@@ -176,10 +155,10 @@ func ingestIU(opts Options) (perTxn, grouped ingestStat, err error) {
 		return st, nil
 	}
 
-	if perTxn, err = run(false); err != nil {
+	if perTxn, err = run(1); err != nil {
 		return
 	}
-	grouped, err = run(true)
+	grouped, err = run(8)
 	return
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"poseidon/internal/index"
 	"poseidon/internal/pmem"
 	"poseidon/internal/pmemobj"
 	"poseidon/internal/storage"
@@ -102,140 +103,198 @@ func (e *Engine) addPropChainShards(head uint64, set map[int]struct{}) {
 	}
 }
 
-// propNeeds returns, per shard, the number of property records the commit
-// will insert — the capacity to reserve before retrying after
-// ErrShardFull.
-func (tx *Tx) propNeeds() map[int]int {
-	needs := make(map[int]int)
-	for _, key := range tx.order {
-		d := tx.dirty[key]
-		if d.isDelete || !d.propsChanged || len(d.ver.props) == 0 {
-			continue
-		}
-		s := tx.e.shardOf(key)
-		needs[s] += (len(d.ver.props) + storage.PItemsMax - 1) / storage.PItemsMax
-	}
-	return needs
-}
-
-// Commit persists the transaction (§5.1 Commit):
-//
-//  1. Superseded committed versions are pushed into the DRAM version
-//     chains so older readers keep a consistent view after the PMem
-//     records are overwritten.
-//  2. All record rewrites, property-chain writes and slot releases run in
-//     a single pmemobj undo-log transaction, so the whole commit is
-//     failure-atomic (DG4; the paper's PMDK-based approach).
-//  3. Records are unlocked with single 8-byte stores after the commit
-//     point; a crash in between leaves stale locks that recovery clears.
-//  4. Secondary indexes are updated and transaction-level GC runs.
-//
-// Sharding: only the commit locks of the shards the transaction touched
-// are taken (ascending, via lockShards), and the undo log is the lane of
-// the lowest involved shard. Because every persistent range written here
-// belongs to a held shard, concurrent commits on disjoint shards write
-// disjoint ranges into distinct lanes, and crash rollback of the lanes is
-// order-independent. Commit order within a shard is serialized by its
-// lock; cross-shard transactions serialize with every involved shard.
-// Serializability does not depend on the lock scope — MVTO's timestamp
-// protocol provides it — so the global commit watermark (the clock)
-// needs no extra publication step.
+// Commit persists the transaction (§5.1 Commit) through the commit
+// pipeline (commitGroup) as a group of one. A cancelled context turns
+// Commit into a rollback: nothing of the transaction becomes visible.
 func (tx *Tx) Commit() error {
 	tx.endMu.Lock()
 	defer tx.endMu.Unlock()
-	if tx.done.Load() {
-		return ErrTxDone
+	if ended, err := tx.endEarly(); ended {
+		return err
 	}
-	// A cancelled context turns Commit into a rollback: nothing of the
-	// transaction becomes visible.
+	return tx.e.commitGroup(tx.commitShards(), []*Tx{tx})[0]
+}
+
+// CommitBatch commits the given transactions together: members touching
+// the same set of shards form one group, and each group runs the commit
+// pipeline once, so its members share one undo-log publication fence and
+// one lock-release drain (the Blizzard-style barrier batching). Groups
+// commit one after another in a deterministic order. The caller must own
+// every transaction and not use them concurrently. Returns one result
+// per transaction, in input order.
+//
+// Bulk loaders use it to batch commits without relying on scheduling,
+// and the crash-point explorer uses it to get a replayable device-event
+// sequence through multi-member groups.
+func (e *Engine) CommitBatch(txs []*Tx) []error {
+	errs := make([]error, len(txs))
+	type group struct {
+		order []int
+		txs   []*Tx
+		idx   []int
+	}
+	groups := make(map[uint64]*group)
+	var masks []uint64
+	for i, tx := range txs {
+		tx.endMu.Lock()
+		defer tx.endMu.Unlock()
+		if ended, err := tx.endEarly(); ended {
+			errs[i] = err
+			continue
+		}
+		order := tx.commitShards()
+		var mask uint64 // shards < maxShardLanes = 64
+		for _, s := range order {
+			mask |= 1 << uint(s)
+		}
+		g := groups[mask]
+		if g == nil {
+			g = &group{order: order}
+			groups[mask] = g
+			masks = append(masks, mask)
+		}
+		g.txs = append(g.txs, tx)
+		g.idx = append(g.idx, i)
+	}
+	sort.Slice(masks, func(a, b int) bool { return masks[a] < masks[b] })
+	for _, m := range masks {
+		g := groups[m]
+		for j, err := range e.commitGroup(g.order, g.txs) {
+			errs[g.idx[j]] = err
+		}
+	}
+	return errs
+}
+
+// endEarly ends a transaction that needs no commit pipeline: one already
+// over (ErrTxDone), one whose context is cancelled (rolled back, the
+// context's error), or one without writes (committed). ended is false
+// when the transaction must take the pipeline. Caller holds tx.endMu.
+func (tx *Tx) endEarly() (ended bool, err error) {
+	if tx.done.Load() {
+		return true, ErrTxDone
+	}
 	if err := tx.ctxErr(); err != nil {
 		tx.setAbortReason(AbortCancelled)
 		_ = tx.abortLocked()
-		return err
+		return true, err
 	}
 	if len(tx.order) == 0 {
 		tx.e.tel.TxCommits.Inc()
 		tx.finish()
-		return nil
+		return true, nil
 	}
-	shardOrder := tx.commitShards()
-	// Single-shard transactions join their shard's commit epoch when
-	// group commit is on; cross-shard ones (including old property
-	// chains that straddle shards after a shard-count change) always
-	// take the per-transaction path below.
-	if tx.e.cfg.GroupCommit.Enabled && len(shardOrder) == 1 {
-		return tx.commitGrouped(shardOrder[0])
-	}
-	return tx.commitLocked(shardOrder)
+	return false, nil
 }
 
-// commitLocked is the per-transaction commit path (steps 1-4 above).
-// Caller holds tx.endMu and has verified the transaction is live and
-// has writes.
-func (tx *Tx) commitLocked(shardOrder []int) error {
-	e := tx.e
+// pushedVer is a superseded committed version pushed into a DRAM chain
+// by step 1 of a commit, remembered so a failed commit can take it back.
+type pushedVer struct {
+	c *chain
+	v *version
+}
+
+// commitGroup is the commit pipeline (§5.1 Commit). It commits one or
+// more live transactions with writes, whose commit shards all lie in
+// order (sorted ascending), as one unit:
+//
+//  1. Superseded committed versions are pushed into the DRAM version
+//     chains so older readers keep a consistent view after the PMem
+//     records are overwritten.
+//  2. All record rewrites, property-chain writes and slot releases of
+//     every member run in a single pmemobj undo-log transaction on the
+//     lane of the lowest shard, so the whole group is failure-atomic
+//     (DG4; the paper's PMDK-based approach). The transaction opens with
+//     one SnapshotAll over every range known in advance, so their undo
+//     images become valid behind a single publication fence.
+//  3. Secondary indexes are updated and records are unlocked with
+//     single 8-byte stores after the commit point, all behind one drain;
+//     a crash in between leaves stale locks that recovery clears and
+//     index entries that reconcileIndexes repairs.
+//  4. Transaction-level GC bookkeeping and the counters.
+//
+// Sharding: only the commit locks of the shards in order are taken
+// (ascending, via lockShards). Because every persistent range written
+// here belongs to a held shard, concurrent commits on disjoint shards
+// write disjoint ranges into distinct lanes, and crash rollback of the
+// lanes is order-independent. Commit order within a shard is serialized
+// by its lock; cross-shard transactions serialize with every involved
+// shard. Serializability does not depend on the lock scope — MVTO's
+// timestamp protocol provides it — so the global commit watermark (the
+// clock) needs no extra publication step.
+//
+// A group whose undo images overflow the lane splits in half and retries
+// each half, so members only abort for the reasons a group of one would.
+// Callers hold every member's endMu. Returns one result per member.
+func (e *Engine) commitGroup(order []int, txs []*Tx) []error {
+	errs := make([]error, len(txs))
+	writes := 0
+	for _, tx := range txs {
+		writes += len(tx.order)
+	}
 	// Request tracing: Session.Exec (and the server's explicit COMMIT
 	// path) attach their span to the transaction's context; with tracing
 	// off the handles are nil and every span call below no-ops.
-	cspan := trace.FromContext(tx.Context()).Child("core.commit", trace.KindCommit)
-	cspan.SetAttr("shards", int64(len(shardOrder)))
-	cspan.SetAttr("writes", int64(len(tx.order)))
-	if len(shardOrder) > 1 {
+	cspan := trace.FromContext(txs[0].Context()).Child("core.commit", trace.KindCommit)
+	cspan.SetAttr("shards", int64(len(order)))
+	cspan.SetAttr("writes", int64(writes))
+	if len(order) > 1 {
 		cspan.SetAttr("cross_shard", true)
 	}
-	e.lockShards(shardOrder, cspan)
+	e.lockShards(order, cspan)
 	locked := true
 	defer func() {
 		if locked {
-			e.unlockShards(shardOrder)
+			e.unlockShards(order)
 		}
 	}()
-	lane := e.shards[shardOrder[0]].lane
 
 	// Step 1: preserve old versions for updates (deletes keep serving old
 	// readers from the PMem record itself, whose window just gets closed).
-	var pushed []struct {
-		c *chain
-		v *version
-	}
-	for _, key := range tx.order {
-		d := tx.dirty[key]
-		if !d.hasOld || d.isDelete {
-			continue
+	var pushed []pushedVer
+	for _, tx := range txs {
+		for _, key := range tx.order {
+			d := tx.dirty[key]
+			if !d.hasOld || d.isDelete {
+				continue
+			}
+			var v *version
+			if d.key.kind == kindNode {
+				old := d.oldNode
+				v = &version{bts: old.Bts, ets: tx.id, node: &old, props: d.oldProps}
+			} else {
+				old := d.oldRel
+				v = &version{bts: old.Bts, ets: tx.id, rel: &old, props: d.oldProps}
+			}
+			c := tx.chainsForKey(d.key).getOrCreate(d.key.id)
+			c.push(v)
+			pushed = append(pushed, pushedVer{c, v})
 		}
-		var v *version
-		if d.key.kind == kindNode {
-			old := d.oldNode
-			v = &version{bts: old.Bts, ets: tx.id, node: &old, props: d.oldProps}
-		} else {
-			old := d.oldRel
-			v = &version{bts: old.Bts, ets: tx.id, rel: &old, props: d.oldProps}
-		}
-		c := tx.chainsForKey(d.key).getOrCreate(d.key.id)
-		c.push(v)
-		pushed = append(pushed, struct {
-			c *chain
-			v *version
-		}{c, v})
 	}
 
-	// Step 2: the failure-atomic persist, on the shard lane. A shard that
-	// runs out of property-record slots rolls the lane back; capacity is
-	// reserved outside every commit lock (chunk appends mutate global
-	// allocator state) and the persist retried.
+	// Step 2: the failure-atomic persist, on the lowest shard's lane. A
+	// shard that runs out of property-record slots rolls the lane back;
+	// capacity is reserved outside every commit lock (chunk appends
+	// mutate global allocator state) and the persist retried.
 	var psp *trace.Span
 	var preDev pmem.StatsSnapshot
 	if cspan != nil {
-		//poseidonlint:ignore lifecycle psp exists iff cspan != nil; both exit paths End it inside the same nil guard
+		//poseidonlint:ignore lifecycle psp exists iff cspan != nil; every exit path Ends it inside the same nil guard
 		psp = cspan.Child("pmem.persist", trace.KindPMem)
 		preDev = e.dev.Stats.Snapshot()
 	}
 	var err error
 	for {
-		err = e.pool.RunTxLane(lane, func(ptx *pmemobj.Tx) error {
-			for _, key := range tx.order {
-				if err := tx.applyDirty(ptx, tx.dirty[key]); err != nil {
-					return err
+		ranges := e.groupRanges(txs)
+		err = e.pool.RunTxLane(e.shards[order[0]].lane, func(ptx *pmemobj.Tx) error {
+			if err := ptx.SnapshotAll(ranges); err != nil {
+				return err
+			}
+			for _, tx := range txs {
+				for _, key := range tx.order {
+					if err := tx.applyDirty(ptx, tx.dirty[key]); err != nil {
+						return err
+					}
 				}
 			}
 			return nil
@@ -243,53 +302,60 @@ func (tx *Tx) commitLocked(shardOrder []int) error {
 		if !errors.Is(err, storage.ErrShardFull) {
 			break
 		}
-		e.unlockShards(shardOrder)
+		e.unlockShards(order)
 		locked = false
-		var rerr error
-		for s, n := range tx.propNeeds() {
-			if ferr := e.props.EnsureShardFreeN(s, n); ferr != nil {
-				rerr = ferr
-				break
-			}
-		}
-		if rerr != nil {
-			err = rerr
+		if err = e.reserveProps(txs); err != nil {
 			break
 		}
 		psp.SetAttr("shard_full_retries", int64(1))
-		e.lockShards(shardOrder, cspan)
+		e.lockShards(order, cspan)
 		locked = true
 	}
 	if err != nil {
 		// The lane transaction rolled back all persistent changes; the
 		// volatile free lists may hold stale hints, which inserts prune
-		// against the bitmaps. Undo the version pushes and abort fully —
-		// after releasing the shard locks, because the abort re-acquires
-		// them to release inserted slots.
+		// against the bitmaps. Undo the version pushes and release the
+		// shard locks — aborts and the split retries re-acquire them.
 		for _, p := range pushed {
 			p.c.remove(p.v)
 		}
 		if locked {
-			e.unlockShards(shardOrder)
+			e.unlockShards(order)
 			locked = false
 		}
-		tx.setAbortReason(AbortCommitFailed)
-		_ = tx.abortLocked()
+		if errors.Is(err, pmemobj.ErrLogFull) && len(txs) > 1 {
+			psp.End()
+			cspan.SetAttr("split", true)
+			cspan.End()
+			e.groupSplits.Add(1)
+			mid := len(txs) / 2
+			return append(e.commitGroup(order, txs[:mid]), e.commitGroup(order, txs[mid:])...)
+		}
 		err = fmt.Errorf("core: commit failed: %w", err)
+		for i, tx := range txs {
+			tx.setAbortReason(AbortCommitFailed)
+			_ = tx.abortLocked()
+			errs[i] = err
+		}
 		psp.SetError(err)
 		psp.End()
 		cspan.SetError(err)
 		cspan.End()
-		return err
+		return errs
 	}
 
-	// Step 3: release the write locks. The commit point has passed; these
-	// are plain failure-atomic 8-byte stores.
-	for _, key := range tx.order {
-		d := tx.dirty[key]
-		off := tx.recordOffset(d.key)
-		e.dev.WriteU64(off, 0) // txn-id is field 0 of both record types
-		e.dev.Flush(off, 8)
+	// Step 3: secondary index maintenance (still under the shard locks,
+	// so per-shard index updates observe commit order), then release the
+	// write locks. The commit point has passed; the lock releases are
+	// plain failure-atomic 8-byte stores, and one drain makes them and the
+	// flushed index leaves durable for the whole group.
+	e.updateIndexes(txs)
+	for _, tx := range txs {
+		for _, key := range tx.order {
+			off := tx.recordOffset(key)
+			e.dev.WriteU64(off, 0) // txn-id is field 0 of both record types
+			e.dev.Flush(off, 8)
+		}
 	}
 	e.dev.Drain()
 	if psp != nil {
@@ -306,27 +372,122 @@ func (tx *Tx) commitLocked(shardOrder []int) error {
 	// The dirty versions are now redundant: the PMem records carry the
 	// committed state. Deleted objects keep a committed tombstone version
 	// out of the chain too — the PMem record serves old readers.
-	for _, key := range tx.order {
-		d := tx.dirty[key]
-		tx.chainsForKey(d.key).getOrCreate(d.key.id).remove(d.ver)
+	for _, tx := range txs {
+		for _, key := range tx.order {
+			d := tx.dirty[key]
+			tx.chainsForKey(d.key).getOrCreate(d.key.id).remove(d.ver)
+		}
 	}
 
-	// Step 4: secondary index maintenance (still under the shard locks, so
-	// per-shard index updates observe commit order) and GC bookkeeping.
-	tx.updateIndexes()
-	e.publishIndexDeltas(shardOrder)
-	tx.enqueueGC()
-	for _, s := range shardOrder {
-		e.shards[s].commits.Add(1)
+	// Step 4: GC bookkeeping and counters, under the shard locks.
+	for _, tx := range txs {
+		tx.enqueueGC()
 	}
-	if len(shardOrder) > 1 {
-		e.crossCommits.Add(1)
+	n := uint64(len(txs))
+	for _, s := range order {
+		e.shards[s].commits.Add(n)
 	}
-	e.unlockShards(shardOrder)
+	if len(order) > 1 {
+		e.crossCommits.Add(n)
+	}
+	e.groupEpochs.Add(1)
+	e.groupMembers.Add(n)
+	e.unlockShards(order)
 	locked = false
-	e.tel.TxCommits.Inc()
-	tx.finish()
+	for _, tx := range txs {
+		e.tel.TxCommits.Inc()
+		tx.finish()
+	}
 	cspan.End()
+	return errs
+}
+
+// groupRanges collects every persistent range the members are known to
+// touch — dirty records, the old property records an update frees and
+// their occupancy-bitmap words, and the bitmap words the new property
+// records will be allocated from — so one SnapshotAll publishes them
+// behind a single fence. applyDirty's own Snapshot calls then dedup
+// against the coverage; only ranges the prediction misses (slots freed
+// by the same commit and reused, chunk headers) still log individually.
+// Caller holds the commit locks of every shard the members touch, so no
+// other allocation can take the predicted slots.
+func (e *Engine) groupRanges(txs []*Tx) []pmemobj.Range {
+	var out []pmemobj.Range
+	needs := propNeeds(txs)
+	for _, s := range sortedKeys(needs) {
+		for _, w := range e.props.NextFreeWordOffs(s, needs[s]) {
+			out = append(out, pmemobj.Range{Off: w, N: 8})
+		}
+	}
+	for _, tx := range txs {
+		for _, key := range tx.order {
+			d := tx.dirty[key]
+			recSize := uint64(storage.NodeRecordSize)
+			if d.key.kind == kindRel {
+				recSize = storage.RelRecordSize
+			}
+			out = append(out, pmemobj.Range{Off: tx.recordOffset(d.key), N: recSize})
+			if d.hasOld && d.propsChanged && !d.isDelete {
+				head := d.oldNode.Props
+				if d.key.kind == kindRel {
+					head = d.oldRel.Props
+				}
+				for id := head; id != storage.NilID; {
+					poff, ok := e.props.RecordOffset(id)
+					if !ok {
+						break
+					}
+					out = append(out, pmemobj.Range{Off: poff, N: storage.PropRecordSize})
+					if w, ok := e.props.BitmapWordOff(id); ok {
+						out = append(out, pmemobj.Range{Off: w, N: 8})
+					}
+					id = e.dev.ReadU64(poff + storage.PNext)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// propNeeds returns, per shard, the number of property records the
+// members' commits will insert.
+func propNeeds(txs []*Tx) map[int]int {
+	needs := make(map[int]int)
+	for _, tx := range txs {
+		for _, key := range tx.order {
+			d := tx.dirty[key]
+			if d.isDelete || !d.propsChanged || len(d.ver.props) == 0 {
+				continue
+			}
+			needs[tx.e.shardOf(key)] += (len(d.ver.props) + storage.PItemsMax - 1) / storage.PItemsMax
+		}
+	}
+	return needs
+}
+
+// sortedKeys returns the shards of a per-shard count in ascending order;
+// sorted iteration keeps the device-event sequence deterministic for
+// crash-point replay.
+func sortedKeys(m map[int]int) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// reserveProps reserves the property-record capacity the members'
+// commits need — what to ensure before retrying after ErrShardFull.
+// Caller holds no commit lock (chunk appends mutate global allocator
+// state).
+func (e *Engine) reserveProps(txs []*Tx) error {
+	needs := propNeeds(txs)
+	for _, s := range sortedKeys(needs) {
+		if err := e.props.EnsureShardFreeN(s, needs[s]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -482,48 +643,60 @@ func (tx *Tx) abortLocked() error {
 
 // --- secondary index maintenance ---
 
-// updateIndexes applies the committed changes to every matching
-// (label, property) index. Runs under the commit locks of the involved
-// shards; a node's entries live in its own shard's trees, so each update
-// only touches held shards.
-func (tx *Tx) updateIndexes() {
-	e := tx.e
-	for _, key := range tx.order {
-		d := tx.dirty[key]
-		if d.key.kind != kindNode {
-			continue
-		}
-		if !d.propsChanged && !d.isDelete && d.hasOld && d.oldNode.Label == d.ver.node.Label {
-			continue // adjacency-only update: index entries unchanged
-		}
-		sh := &e.shards[e.shardOf(d.key)]
-		sh.idxMu.RLock()
-		if len(sh.indexes) == 0 {
-			sh.idxMu.RUnlock()
-			continue
-		}
-		// Deleted nodes keep their index entries until GC reclaims the
-		// slot: older snapshots may still reach them through the index,
-		// and newer readers re-validate against their snapshot anyway.
-		if d.hasOld && !d.isDelete {
-			for _, p := range d.oldProps {
-				if t := sh.indexes[indexKey{d.oldNode.Label, p.Key}]; t != nil {
-					t.Delete(p.Val, d.key.id)
-				}
+// updateIndexes applies the members' committed changes to every
+// matching (label, property) index. Runs under the commit locks of the
+// involved shards; a node's entries live in its own shard's trees, so
+// each update only touches held shards. Inserts are collected per tree
+// and applied with one InsertManyFlushed each — one leaf-flush sweep per
+// tree for the whole group, made durable by the caller's lock-release
+// drain. Members write disjoint objects, so
+// deferring the inserts past other members' deletes cannot reorder two
+// operations on the same entry.
+func (e *Engine) updateIndexes(txs []*Tx) {
+	var trees []*index.Tree
+	adds := make(map[*index.Tree][]index.Entry)
+	for _, tx := range txs {
+		for _, key := range tx.order {
+			d := tx.dirty[key]
+			if d.key.kind != kindNode {
+				continue
 			}
-		}
-		if !d.isDelete {
-			for _, p := range d.ver.props {
-				if t := sh.indexes[indexKey{d.ver.node.Label, p.Key}]; t != nil {
-					if err := t.Insert(p.Val, d.key.id); err != nil {
-						// Index degradation is survivable: it is a secondary
-						// structure; queries fall back to scans if dropped.
-						continue
+			if !d.propsChanged && !d.isDelete && d.hasOld && d.oldNode.Label == d.ver.node.Label {
+				continue // adjacency-only update: index entries unchanged
+			}
+			sh := &e.shards[e.shardOf(d.key)]
+			sh.idxMu.RLock()
+			if len(sh.indexes) == 0 {
+				sh.idxMu.RUnlock()
+				continue
+			}
+			// Deleted nodes keep their index entries until GC reclaims the
+			// slot: older snapshots may still reach them through the index,
+			// and newer readers re-validate against their snapshot anyway.
+			if d.hasOld && !d.isDelete {
+				for _, p := range d.oldProps {
+					if t := sh.indexes[indexKey{d.oldNode.Label, p.Key}]; t != nil {
+						t.Delete(p.Val, d.key.id)
 					}
 				}
 			}
+			if !d.isDelete {
+				for _, p := range d.ver.props {
+					if t := sh.indexes[indexKey{d.ver.node.Label, p.Key}]; t != nil {
+						if adds[t] == nil {
+							trees = append(trees, t)
+						}
+						adds[t] = append(adds[t], index.Entry{Key: p.Val, ID: d.key.id})
+					}
+				}
+			}
+			sh.idxMu.RUnlock()
 		}
-		sh.idxMu.RUnlock()
+	}
+	for _, t := range trees {
+		// Index degradation is survivable: it is a secondary structure,
+		// repaired by reconcileIndexes and rebuilt if dropped.
+		_ = t.InsertManyFlushed(adds[t])
 	}
 }
 

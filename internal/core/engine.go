@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"poseidon/internal/dict"
 	"poseidon/internal/index"
@@ -38,42 +37,6 @@ type Config struct {
 	// POSEIDON_SHARDS environment variable (the CI race matrix uses it).
 	// Shard ownership is volatile — any shard count opens any image.
 	Shards int
-	// GroupCommit batches concurrent single-shard commits into per-shard
-	// epochs: one leader persists the whole batch behind a single set of
-	// fences and wakes the group. Off by default (per-transaction
-	// commits, exactly the pre-batching behavior).
-	GroupCommit GroupCommitConfig
-	// IndexDelta absorbs secondary-index updates in a small persistent
-	// delta per tree, merged into the B+-tree outside the commit path
-	// (see index.Tree). Off by default.
-	IndexDelta IndexDeltaConfig
-}
-
-// GroupCommitConfig tunes per-shard commit epochs (the Blizzard-style
-// batching of persistence barriers across concurrent writers).
-type GroupCommitConfig struct {
-	// Enabled turns group commit on. Cross-shard transactions always
-	// fall back to the per-transaction commit path.
-	Enabled bool
-	// MaxBatch bounds the transactions one epoch commits together
-	// (default 32).
-	MaxBatch int
-	// MaxDelay bounds how long an epoch leader waits for the batch to
-	// fill before draining. Zero (the default) drains whatever is
-	// already queued — batching then comes purely from backpressure:
-	// committers arriving while an epoch persists form the next one.
-	MaxDelay time.Duration
-}
-
-// IndexDeltaConfig tunes the LSM-style secondary-index delta layer.
-type IndexDeltaConfig struct {
-	// Enabled routes index maintenance through per-tree deltas.
-	Enabled bool
-	// MergeEvery starts a background goroutine that merges deltas into
-	// the base trees at this interval. Zero merges inline only (when a
-	// delta fills, under the shard commit lock) — the deterministic
-	// mode the crash-point explorer needs.
-	MergeEvery time.Duration
 }
 
 func (c *Config) fill() {
@@ -94,9 +57,6 @@ func (c *Config) fill() {
 	}
 	if c.Shards > maxShardLanes {
 		c.Shards = maxShardLanes
-	}
-	if c.GroupCommit.Enabled && c.GroupCommit.MaxBatch <= 0 {
-		c.GroupCommit.MaxBatch = 32
 	}
 }
 
@@ -171,9 +131,6 @@ type engineShard struct {
 	gcMu    sync.Mutex
 	gcQueue []objKey
 
-	// group is the shard's commit-epoch queue (see groupcommit.go).
-	group groupState
-
 	// Per-shard slice of the secondary indexes: tree s of index (label,
 	// key) holds entries only for node ids owned by shard s.
 	idxMu   sync.RWMutex
@@ -220,15 +177,10 @@ type Engine struct {
 	allShards    []int         // 0..nShards-1, the lockAllShards acquisition order
 	crossCommits atomic.Uint64 // commits that locked more than one shard
 
-	// Group-commit accounting (see GroupCommitStats).
-	groupEpochs  atomic.Uint64 // epochs persisted
-	groupMembers atomic.Uint64 // transactions committed through epochs
-	groupSplits  atomic.Uint64 // epochs split to fit the shard's undo lane
-
-	// mergeStop terminates the background index-delta merger, when one
-	// was started (Config.IndexDelta.MergeEvery > 0).
-	mergeStop chan struct{}
-	mergeDone chan struct{}
+	// Commit-pipeline accounting (see GroupCommitStats).
+	groupEpochs  atomic.Uint64 // commit pipeline runs that persisted
+	groupMembers atomic.Uint64 // transactions they committed
+	groupSplits  atomic.Uint64 // groups split to fit the shard's undo lane
 
 	// idxDDL serializes index creation and rebuild against each other
 	// (not against commits — those synchronize per shard).
@@ -286,7 +238,6 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.clock.Store(1)
-	e.startDeltaMerger()
 	return e, nil
 }
 
@@ -479,7 +430,6 @@ func Reopen(dev *pmem.Device, cfg Config) (*Engine, error) {
 	if err := e.reconcileIndexes(); err != nil {
 		return nil, err
 	}
-	e.startDeltaMerger()
 	return e, nil
 }
 
@@ -570,18 +520,28 @@ func (e *Engine) Rels() *storage.Table { return e.rels }
 // Props returns the property table.
 func (e *Engine) Props() *storage.Table { return e.props }
 
-// Close unregisters the engine's pool. The device (and, in PMem mode, its
-// durable contents) remains usable for Reopen.
+// Close unregisters the engine's pool and the private DRAM pools of its
+// index trees. The device (and, in PMem mode, its durable contents)
+// remains usable for Reopen.
 func (e *Engine) Close() {
 	if e.closed.CompareAndSwap(false, true) {
-		e.stopDeltaMerger()
+		for s := range e.shards {
+			sh := &e.shards[s]
+			sh.idxMu.RLock()
+			for _, t := range sh.indexes {
+				t.Close()
+			}
+			sh.idxMu.RUnlock()
+		}
 		e.pool.Close()
 	}
 }
 
-// GroupCommitStats reports group-commit progress: epochs persisted,
-// transactions committed through them, and epochs that had to split to
-// fit their shard's undo-log lane.
+// GroupCommitStats reports commit-pipeline progress: every pipeline run
+// that persisted counts as one epoch (a Tx.Commit is an epoch of one, a
+// CommitBatch group an epoch of its members), the transactions committed
+// through them, and groups that had to split to fit their shard's
+// undo-log lane.
 func (e *Engine) GroupCommitStats() (epochs, members, splits uint64) {
 	return e.groupEpochs.Load(), e.groupMembers.Load(), e.groupSplits.Load()
 }

@@ -10,9 +10,9 @@ import (
 	"poseidon/internal/pmem"
 )
 
-func newGroupEngine(t *testing.T, shards int, cfg GroupCommitConfig) *Engine {
+func newGroupEngine(t *testing.T, shards int) *Engine {
 	t.Helper()
-	e, err := Open(Config{Mode: PMem, PoolSize: 64 << 20, Shards: shards, GroupCommit: cfg})
+	e, err := Open(Config{Mode: PMem, PoolSize: 64 << 20, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func newGroupEngine(t *testing.T, shards int, cfg GroupCommitConfig) *Engine {
 }
 
 func TestGroupCommitBasic(t *testing.T) {
-	e := newGroupEngine(t, 1, GroupCommitConfig{Enabled: true})
+	e := newGroupEngine(t, 1)
 	tx := e.Begin()
 	id := mustCreateNode(t, tx, "Person", map[string]any{"name": "alice"})
 	mustCommit(t, tx)
@@ -35,13 +35,14 @@ func TestGroupCommitBasic(t *testing.T) {
 	}
 }
 
-// TestGroupCommitConcurrent commits from many goroutines; every acked
-// transaction must be visible, and the epoch accounting must add up.
+// TestGroupCommitConcurrent commits from many goroutines through
+// Tx.Commit; every acked transaction must be visible, and every commit
+// must count as one pipeline run (an epoch of one).
 func TestGroupCommitConcurrent(t *testing.T) {
 	const writers, txPerWriter = 8, 20
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e := newGroupEngine(t, shards, GroupCommitConfig{Enabled: true, MaxBatch: 8})
+			e := newGroupEngine(t, shards)
 			var wg sync.WaitGroup
 			ids := make([][]uint64, writers)
 			for w := 0; w < writers; w++ {
@@ -77,11 +78,8 @@ func TestGroupCommitConcurrent(t *testing.T) {
 				}
 			}
 			epochs, members, _ := e.GroupCommitStats()
-			if members != writers*txPerWriter {
-				t.Fatalf("members = %d, want %d", members, writers*txPerWriter)
-			}
-			if epochs == 0 || epochs > members {
-				t.Fatalf("epochs = %d out of range (members %d)", epochs, members)
+			if members != writers*txPerWriter || epochs != members {
+				t.Fatalf("stats = (%d epochs, %d members), want %d of each", epochs, members, writers*txPerWriter)
 			}
 		})
 	}
@@ -90,7 +88,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 // TestCommitBatchGroupsPerShard drives the deterministic batch entry
 // point and checks results, visibility and epoch packing.
 func TestCommitBatchGroupsPerShard(t *testing.T) {
-	e := newGroupEngine(t, 4, GroupCommitConfig{Enabled: true})
+	e := newGroupEngine(t, 4)
 	const n = 24
 	txs := make([]*Tx, n)
 	ids := make([]uint64, n)
@@ -125,14 +123,13 @@ func TestCommitBatchGroupsPerShard(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFenceReduction pins the tentpole's cost claim: an epoch
-// of K small transactions must issue at least 4x fewer drains per
-// committed transaction than the per-transaction path.
+// TestGroupCommitFenceReduction pins the batching cost claim: a
+// CommitBatch group of K small transactions must issue at least 4x fewer
+// drains per committed transaction than K groups of one (Tx.Commit).
 func TestGroupCommitFenceReduction(t *testing.T) {
 	const n = 16
 	perTxn := func(group bool) float64 {
-		e, err := Open(Config{Mode: PMem, PoolSize: 64 << 20, Shards: 1,
-			GroupCommit: GroupCommitConfig{Enabled: group, MaxBatch: n}})
+		e, err := Open(Config{Mode: PMem, PoolSize: 64 << 20, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,68 +161,79 @@ func TestGroupCommitFenceReduction(t *testing.T) {
 		drains := e.Device().Stats.Snapshot().Sub(before).Drains
 		return float64(drains) / n
 	}
-	legacy := perTxn(false)
+	solo := perTxn(false)
 	grouped := perTxn(true)
-	if legacy < 4*grouped {
-		t.Fatalf("drains per txn: legacy %.2f, grouped %.2f — reduction %.1fx < 4x",
-			legacy, grouped, legacy/grouped)
+	if solo < 4*grouped {
+		t.Fatalf("drains per txn: solo %.2f, grouped %.2f — reduction %.1fx < 4x",
+			solo, grouped, solo/grouped)
 	}
-	t.Logf("drains per txn: legacy %.2f, grouped %.2f (%.1fx)", legacy, grouped, legacy/grouped)
+	t.Logf("drains per txn: solo %.2f, grouped %.2f (%.1fx)", solo, grouped, solo/grouped)
 }
 
 // TestGroupCommitLaneOverflowDegrades is the lane-sizing hazard
-// regression: a full epoch whose undo images cannot fit the shard's
-// lane must degrade into smaller groups, never abort its members.
+// regression: a group whose undo images cannot fit the shard's
+// lane must split into smaller groups, never abort its members.
 func TestGroupCommitLaneOverflowDegrades(t *testing.T) {
 	// An unsharded engine commits on the built-in log, whose capacity is
-	// directly configurable — size it so a 32-transaction epoch of fat
-	// property updates cannot fit.
-	e, err := Open(Config{Mode: PMem, PoolSize: 64 << 20, Shards: 1, LogCap: 16 << 10,
-		GroupCommit: GroupCommitConfig{Enabled: true, MaxBatch: 32}})
+	// directly configurable — size it so a 32-transaction group of fat
+	// property updates cannot fit: each update snapshots its node record
+	// and the three property records its old chain frees.
+	const logCap = 8 << 10
+	e, err := Open(Config{Mode: PMem, PoolSize: 64 << 20, Shards: 1, LogCap: logCap})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
 
 	const n = 32
-	txs := make([]*Tx, n)
-	ids := make([]uint64, n)
-	props := map[string]any{}
-	for k := 0; k < 8; k++ {
-		props[fmt.Sprintf("k%d", k)] = int64(k)
+	props := func(v int64) map[string]any {
+		m := map[string]any{}
+		for k := 0; k < 8; k++ {
+			m[fmt.Sprintf("k%d", k)] = v + int64(k)
+		}
+		return m
 	}
+	ids := make([]uint64, n)
+	for i := range ids {
+		tx := e.Begin()
+		ids[i] = mustCreateNode(t, tx, "Fat", props(0))
+		mustCommit(t, tx)
+	}
+	txs := make([]*Tx, n)
 	for i := range txs {
 		txs[i] = e.Begin()
-		ids[i] = mustCreateNode(t, txs[i], "Fat", props)
+		if err := txs[i].SetNodeProps(ids[i], props(100)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	_, before, _ := e.GroupCommitStats()
 	for i, err := range e.CommitBatch(txs) {
 		if err != nil {
 			t.Fatalf("tx %d aborted under lane pressure: %v", i, err)
 		}
 	}
 	_, members, splits := e.GroupCommitStats()
-	if members != n {
-		t.Fatalf("members = %d, want %d", members, n)
+	if members-before != n {
+		t.Fatalf("members = %d, want %d", members-before, n)
 	}
 	if splits == 0 {
-		t.Fatalf("epoch was never split despite a %d-byte lane", 16<<10)
+		t.Fatalf("group was never split despite a %d-byte lane", logCap)
 	}
 	for i, id := range ids {
-		if got := nodeProps(t, e, id)["k3"]; got != int64(3) {
+		if got := nodeProps(t, e, id)["k3"]; got != int64(103) {
 			t.Fatalf("node %d (tx %d) lost props: k3 = %v", id, i, got)
 		}
 	}
 }
 
 // TestGroupCommitReservationFailureAborts exhausts the pool so the
-// post-ErrShardFull property reservation inside processGroup fails after
+// post-ErrShardFull property reservation inside commitGroup fails after
 // the shard lock was already dropped. The members must abort with an
 // error — regression: the generic error path unlocked the shard again
 // (sync.Mutex unlock-of-unlocked panic) instead of honoring the
 // locked=false state the failed reservation left behind.
 func TestGroupCommitReservationFailureAborts(t *testing.T) {
-	e, err := Open(Config{Mode: PMem, PoolSize: 8 << 20, Shards: 1,
-		GroupCommit: GroupCommitConfig{Enabled: true, MaxBatch: 8}})
+	e, err := Open(Config{Mode: PMem, PoolSize: 8 << 20, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +289,9 @@ func TestGroupCommitReservationFailureAborts(t *testing.T) {
 }
 
 // TestGroupCommitCancelledMember: a member whose context is cancelled
-// aborts without poisoning the rest of its epoch.
+// aborts without poisoning the rest of its group.
 func TestGroupCommitCancelledMember(t *testing.T) {
-	e := newGroupEngine(t, 1, GroupCommitConfig{Enabled: true})
+	e := newGroupEngine(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	live := e.Begin()
 	liveID := mustCreateNode(t, live, "L", nil)
@@ -317,17 +325,20 @@ func nodeSnap(t *testing.T, e *Engine, id uint64) (NodeSnap, error) {
 }
 
 // TestGroupCommitDurabilityLinearizable is the acked-implies-durable
-// property: under random crash injection, any transaction whose Commit
-// returned nil before the crash event fired must be present after
-// recovery. Commits that return while a crash is already in flight are
-// not acked (the device freezes media at the injection point).
+// property under concurrent committers: several goroutines commit
+// prepared transactions through Tx.Commit while a random crash is
+// injected, and any transaction whose Commit returned nil before the
+// crash event fired must be present after recovery. Commits that return
+// while a crash is already in flight are not acked (the device freezes
+// media at the injection point). The transactions do their writes
+// before the crash is armed, so it always lands inside a commit.
 func TestGroupCommitDurabilityLinearizable(t *testing.T) {
+	const writers, txPerWriter = 4, 10
 	for trial := 0; trial < 30; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial) * 7919))
-			e, err := Open(Config{Mode: PMem, PoolSize: 64 << 20, Shards: 1,
-				GroupCommit: GroupCommitConfig{Enabled: true, MaxBatch: 8}})
+			e, err := Open(Config{Mode: PMem, PoolSize: 16 << 20, Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,34 +351,51 @@ func TestGroupCommitDurabilityLinearizable(t *testing.T) {
 				acked = append(acked, mustCreateNode(t, tx, "pre", map[string]any{"i": int64(i)}))
 				mustCommit(t, tx)
 			}
+			txs := make([][]*Tx, writers)
+			ids := make([][]uint64, writers)
+			for w := range txs {
+				for i := 0; i < txPerWriter; i++ {
+					tx := e.Begin()
+					txs[w] = append(txs[w], tx)
+					ids[w] = append(ids[w], mustCreateNode(t, tx, "n", map[string]any{"w": int64(w), "i": int64(i)}))
+				}
+			}
 
-			dev.ArmCrash(pmem.EvAll, 1+uint64(rng.Intn(400)))
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(*pmem.InjectedCrash); !ok {
-							panic(r)
+			dev.ArmCrash(pmem.EvAll, 1+uint64(rng.Intn(30*writers*txPerWriter)))
+			var (
+				wg sync.WaitGroup
+				mu sync.Mutex
+			)
+			for w := range txs {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					defer func() {
+						if r := recover(); r != nil {
+							if _, ok := r.(*pmem.InjectedCrash); !ok {
+								panic(r)
+							}
+						}
+					}()
+					for i, tx := range txs[w] {
+						if err := tx.Commit(); err != nil {
+							t.Errorf("writer %d commit %d: %v", w, i, err)
+							return
+						}
+						if !dev.CrashFired() {
+							// Acked strictly before the crash point: must survive.
+							mu.Lock()
+							acked = append(acked, ids[w][i])
+							mu.Unlock()
 						}
 					}
-				}()
-				for i := 0; i < 40; i++ {
-					tx := e.Begin()
-					id, err := tx.CreateNode("n", map[string]any{"i": int64(i)})
-					if err != nil {
-						return
-					}
-					if err := tx.Commit(); err != nil {
-						return
-					}
-					if !dev.CrashFired() {
-						// Acked strictly before the crash point: must survive.
-						acked = append(acked, id)
-					}
-				}
-			}()
+				}(w)
+			}
+			wg.Wait()
 			if !dev.CrashFired() {
 				// Crash point beyond the workload: nothing to verify.
 				dev.DisarmCrash()
+				e.Close()
 				return
 			}
 			dev.Crash()

@@ -120,16 +120,24 @@ func (e *Engine) CreateIndex(label, key string, kind index.Kind) error {
 		}
 	}
 
-	trees := make([]*index.Tree, e.nShards)
-	for s := range trees {
-		if trees[s], err = index.Create(kind, e.pool, index.Options{}); err != nil {
+	trees := make([]*index.Tree, 0, e.nShards)
+	abandon := func() {
+		e.unpublishIndex(ik)
+		for _, t := range trees {
+			t.Close()
+		}
+	}
+	for s := 0; s < e.nShards; s++ {
+		t, err := index.Create(kind, e.pool, index.Options{})
+		if err != nil {
+			abandon()
 			return err
 		}
-		e.enableTreeDelta(trees[s])
+		trees = append(trees, t)
 	}
 	for s := 0; s < e.nShards; s++ {
 		if err := e.backfillShard(trees[s], ik, s); err != nil {
-			e.unpublishIndex(ik)
+			abandon()
 			return err
 		}
 	}
@@ -143,7 +151,7 @@ func (e *Engine) CreateIndex(label, key string, kind index.Kind) error {
 			})
 		}
 		if err := e.writeIndexDir(ents); err != nil {
-			e.unpublishIndex(ik)
+			abandon()
 			return err
 		}
 	}
@@ -192,15 +200,20 @@ func (e *Engine) backfillShard(tree *index.Tree, ik indexKey, s int) error {
 	return nil
 }
 
-// unpublishIndex removes a partially created index family from every
-// shard map.
-func (e *Engine) unpublishIndex(ik indexKey) {
+// unpublishIndex removes an index family from every shard map and
+// returns the trees it removed.
+func (e *Engine) unpublishIndex(ik indexKey) []*index.Tree {
+	var out []*index.Tree
 	for s := range e.shards {
 		sh := &e.shards[s]
 		sh.idxMu.Lock()
+		if t := sh.indexes[ik]; t != nil {
+			out = append(out, t)
+		}
 		delete(sh.indexes, ik)
 		sh.idxMu.Unlock()
 	}
+	return out
 }
 
 // RebuildVolatileIndexes recreates every volatile index from scratch —
@@ -219,13 +232,16 @@ func (e *Engine) RebuildVolatileIndexes() error {
 	}
 	sh0.idxMu.RUnlock()
 	for _, ik := range keys {
-		e.unpublishIndex(ik)
+		for _, t := range e.unpublishIndex(ik) {
+			t.Close()
+		}
 		for s := 0; s < e.nShards; s++ {
 			tree, err := index.Create(index.Volatile, e.pool, index.Options{})
 			if err != nil {
 				return err
 			}
 			if err := e.backfillShard(tree, ik, s); err != nil {
+				tree.Close()
 				return err
 			}
 		}
@@ -273,7 +289,6 @@ func (e *Engine) reopenIndexes() error {
 				if err != nil {
 					return fmt.Errorf("core: reopen index (%d,%d) shard %d: %w", ik.label, ik.key, s, err)
 				}
-				e.enableTreeDelta(tree)
 				e.shards[s].indexes[ik] = tree
 			}
 			continue
@@ -286,7 +301,6 @@ func (e *Engine) reopenIndexes() error {
 			if err != nil {
 				return err
 			}
-			e.enableTreeDelta(tree)
 			e.shards[s].indexes[ik] = tree
 		}
 	}
@@ -533,12 +547,12 @@ func (e *Engine) rebuildIndexShard(ik indexKey, s int, kind index.Kind, entries 
 	if err != nil {
 		return err
 	}
-	e.enableTreeDelta(tree)
 	for ent, st := range entries {
 		if !st.required || e.nodes.ShardOf(ent.ID) != s {
 			continue // tombstoned nodes' entries are optional; a rebuild omits them
 		}
 		if err := tree.Insert(ent.Key, ent.ID); err != nil {
+			tree.Close()
 			return fmt.Errorf("core: rebuild index (%d,%d) shard %d: %w", ik.label, ik.key, s, err)
 		}
 	}
@@ -554,6 +568,9 @@ func (e *Engine) rebuildIndexShard(ik indexKey, s int, kind index.Kind, entries 
 				break
 			}
 		}
+	}
+	if old := e.shards[s].indexes[ik]; old != nil {
+		old.Close()
 	}
 	e.shards[s].indexes[ik] = tree
 	return nil

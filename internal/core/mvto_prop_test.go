@@ -72,10 +72,11 @@ func TestMVTOSerializabilityProperty(t *testing.T) {
 		baseSeed = v
 	}
 	// Every core configuration must satisfy the property: the unsharded
-	// single-monitor engine, the sharded core with its cross-shard
-	// commit protocol (ascending lock order, per-shard MVTO state), and
-	// both again with group commit batching concurrent committers into
-	// shared epochs.
+	// single-monitor engine and the sharded core with its cross-shard
+	// commit protocol (ascending lock order, per-shard MVTO state), each
+	// committing one transaction at a time (group=false) and in pairs
+	// through CommitBatch (group=true), whose members share one commit
+	// pipeline run.
 	for _, shards := range []int{1, 4} {
 		for _, group := range []bool{false, true} {
 			for round := 0; round < rounds; round++ {
@@ -89,8 +90,7 @@ func TestMVTOSerializabilityProperty(t *testing.T) {
 }
 
 func runMVTORound(t *testing.T, seed int64, goroutines, txPerGo, nodeCount, shards int, group bool) {
-	e, err := Open(Config{Mode: DRAM, PoolSize: 64 << 20, Shards: shards,
-		GroupCommit: GroupCommitConfig{Enabled: group}})
+	e, err := Open(Config{Mode: DRAM, PoolSize: 64 << 20, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +117,22 @@ func runMVTORound(t *testing.T, seed int64, goroutines, txPerGo, nodeCount, shar
 		go func(goID int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(goID)*7919))
+			// With group, transactions stay live in pairs and commit
+			// together; conflicts between the two members abort one of
+			// them at operation time, like any other MVTO conflict.
+			var batch []*Tx
+			var batchRecs []propTxRecord
+			flush := func() {
+				for i, err := range e.CommitBatch(batch) {
+					if err == nil {
+						mu.Lock()
+						committed = append(committed, batchRecs[i])
+						mu.Unlock()
+					}
+				}
+				batch, batchRecs = nil, nil
+			}
+			defer flush()
 			for txn := 0; txn < txPerGo; txn++ {
 				rec := propTxRecord{goID: goID}
 				tx := e.Begin()
@@ -160,6 +176,14 @@ func runMVTORound(t *testing.T, seed int64, goroutines, txPerGo, nodeCount, shar
 				}
 				if !ok {
 					tx.Abort()
+					continue
+				}
+				if group {
+					batch = append(batch, tx)
+					batchRecs = append(batchRecs, rec)
+					if len(batch) == 2 {
+						flush()
+					}
 					continue
 				}
 				if err := tx.Commit(); err != nil {

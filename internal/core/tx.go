@@ -124,6 +124,9 @@ func (tx *Tx) ID() uint64 { return tx.id }
 // layers built on top of transactions (query engine, analytics).
 func (tx *Tx) EngineDict() *dict.Dict { return tx.e.dict }
 
+// Done reports whether the transaction has ended (committed or aborted).
+func (tx *Tx) Done() bool { return tx.done.Load() }
+
 // ReadOnly reports whether the transaction has written anything yet.
 func (tx *Tx) ReadOnly() bool { return len(tx.order) == 0 }
 

@@ -13,13 +13,12 @@
 // schedule.
 //
 // Two workload mixes are available. The default ("iu") commits one IU
-// transaction at a time through the classic per-transaction path. The
-// "ingest" mix exercises the write-optimized ingest stack: the base
-// dataset is streamed in through the bulk loader, IU transactions commit
-// in deterministic group-commit epochs through CommitBatch (so crash
-// points land before and after the epoch leader's group fence), and the
-// secondary indexes run in delta mode with explicit merges between
-// epochs (so crash points also land mid delta-merge).
+// transaction at a time, a commit-pipeline group of one exactly as
+// Tx.Commit runs it. The "ingest" mix exercises the write-optimized ingest stack: the
+// base dataset is streamed in through the bulk loader, and IU
+// transactions commit in deterministic multi-member groups through
+// CommitBatch (so crash points land before and after a group's single
+// undo-log publication fence).
 package crashx
 
 import (
@@ -27,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -43,7 +41,7 @@ import (
 // ingest mix existed parse and replay unchanged.
 const (
 	MixIU     = ""       // one IU transaction per commit (classic path)
-	MixIngest = "ingest" // bulk base load + group-commit epochs + delta merges
+	MixIngest = "ingest" // bulk base load + CommitBatch groups
 )
 
 // Options configures an exploration run.
@@ -207,16 +205,7 @@ func newHarness(opts Options) (*harness, error) {
 		Shards:   opts.Shards,
 		Profile:  &pmem.Profile{}, // latency model off: exploration is about ordering, not timing
 	}
-	switch opts.Mix {
-	case MixIU:
-	case MixIngest:
-		// The write-optimized ingest stack: group-commit epochs (driven
-		// deterministically through CommitBatch) and delta-mode indexes.
-		// MergeEvery stays zero — a background merger would make event
-		// ordinals racy; the op loop merges explicitly instead.
-		cfg.GroupCommit = core.GroupCommitConfig{Enabled: true, MaxBatch: ingestEpoch}
-		cfg.IndexDelta = core.IndexDeltaConfig{Enabled: true}
-	default:
+	if opts.Mix != MixIU && opts.Mix != MixIngest {
 		return nil, fmt.Errorf("crashx: unknown mix %q", opts.Mix)
 	}
 	e, err := core.Open(cfg)
@@ -305,11 +294,7 @@ func (h *harness) runOnce(ctx context.Context, k uint64) (*outcome, error) {
 	}
 
 	h.dev.ArmCrash(h.opts.Mask, k)
-	run := h.runOps
-	if h.opts.Mix == MixIngest {
-		run = h.runIngestOps
-	}
-	started, runErr := run(ctx, e, preps)
+	started, runErr := h.runOps(ctx, e, preps)
 	// Close the live engine before reopening: the pool registry is keyed
 	// by UUID and closing after Reopen would deregister the new pool.
 	e.Close()
@@ -338,8 +323,24 @@ func (h *harness) runOnce(ctx context.Context, k uint64) (*outcome, error) {
 	return out, nil
 }
 
-// runOps executes the deterministic IU mix, one transaction per op,
-// stopping at an injected crash. It returns the number of ops started.
+// ingestEpoch is the CommitBatch size of the ingest mix: small enough
+// that a short run spans several epochs (each epoch is one group fence
+// with crash points on both sides), large enough that epochs batch real
+// work.
+const ingestEpoch = 4
+
+// runOps executes the deterministic IU mix, stopping at an injected
+// crash, and returns the number of IU ops started. Every transaction
+// commits through CommitBatch: the iu mix hands it one transaction at a
+// time (exactly Tx.Commit's pipeline run), the ingest mix ingestEpoch of
+// them, so an injected crash can land before a group's publication
+// fence or after it (mid apply).
+//
+// In the ingest mix, after every IU epoch a churn epoch of property-less
+// CreateRel (or, alternating, DeleteRel) transactions commits. Their
+// apply phase writes only ranges pre-covered with SnapshotAll, so those
+// epochs depend on the single publication fence alone — exactly what
+// the groupfence crashmutate build breaks.
 func (h *harness) runOps(ctx context.Context, e *core.Engine, preps []*query.Prepared) (started int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -352,85 +353,26 @@ func (h *harness) runOps(ctx context.Context, e *core.Engine, preps []*query.Pre
 	pg := ldbc.NewParamGen(h.ds, h.opts.Seed)
 	mix := rand.New(rand.NewSource(h.opts.Seed))
 	qs := ldbc.IUQueries()
-	for i := 0; i < h.opts.Ops; i++ {
-		if err := ctx.Err(); err != nil {
-			return started, err
-		}
-		q := qs[mix.Intn(len(qs))]
-		params := pg.IUParams(q)
-		started++
-		tx := e.Begin()
-		if err := preps[q.Num-1].RunCtx(ctx, tx, params, func(query.Row) bool { return true }); err != nil {
-			tx.Abort()
-			return started, fmt.Errorf("crashx: IU%d: %w", q.Num, err)
-		}
-		if err := tx.Commit(); err != nil {
-			return started, fmt.Errorf("crashx: IU%d commit: %w", q.Num, err)
-		}
-	}
-	return started, nil
-}
-
-// ingestEpoch is the group-commit epoch size of the ingest mix: small
-// enough that a short run spans several epochs (each epoch boundary is a
-// leader group fence with crash points on both sides), large enough that
-// epochs batch real work.
-const ingestEpoch = 4
-
-// ingestMergeEvery merges the index deltas after every Nth epoch, so the
-// crash window also covers mid delta-merge states.
-const ingestMergeEvery = 2
-
-// runIngestOps executes the deterministic IU mix through the
-// write-optimized ingest path: transactions accumulate into
-// ingestEpoch-sized batches committed through CommitBatch (the
-// deterministic group-commit entry — one leader, one group fence per
-// epoch), and every ingestMergeEvery epochs the secondary-index deltas
-// merge into their base trees. An injected crash can therefore land
-// before the leader's group fence, after it (mid epoch apply), or in the
-// middle of a delta merge. Returns the number of IU ops started.
-//
-// After every IU epoch, a churn epoch of property-less CreateRel (or,
-// alternating, DeleteRel) transactions commits. Their apply phase writes
-// only ranges the leader pre-covered with SnapshotAll — no fresh
-// property records, so no individual undo appends re-persist the lane's
-// count word after the group fence. Those epochs depend on the leader's
-// single fence alone, which is exactly what the groupfence crashmutate
-// build breaks: without them, IU epochs' own prop-chain snapshots mask
-// the planted bug and the mutation test could not catch it.
-func (h *harness) runIngestOps(ctx context.Context, e *core.Engine, preps []*query.Prepared) (started int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(*pmem.InjectedCrash); ok {
-				return // the armed crash; everything after is recovery's problem
-			}
-			panic(r)
-		}
-	}()
-	pg := ldbc.NewParamGen(h.ds, h.opts.Seed)
-	mix := rand.New(rand.NewSource(h.opts.Seed))
-	qs := ldbc.IUQueries()
 	nNodes := uint64(len(h.ds.Nodes)) // base-load node ids are 0..nNodes-1
-
-	epochs := 0
-	endEpoch := func() {
-		epochs++
-		if epochs%ingestMergeEvery == 0 {
-			h.mergeDeltas(e)
-		}
+	epoch := 1
+	if h.opts.Mix == MixIngest {
+		epoch = ingestEpoch
 	}
 
-	batch := make([]*core.Tx, 0, ingestEpoch)
-	flush := func() {
-		if len(batch) == 0 {
-			return
+	// commit commits one epoch; no member may fail in a crash-free run.
+	commit := func(txs []*core.Tx) error {
+		for _, err := range e.CommitBatch(txs) {
+			if err != nil {
+				return fmt.Errorf("crashx: commit: %w", err)
+			}
 		}
-		// Member aborts (commit-time validation) are a legitimate part of
-		// the workload and deterministic under the fixed seed; the sweep
-		// judges the recovered image, not workload success.
-		e.CommitBatch(batch)
+		return nil
+	}
+	var batch []*core.Tx
+	flush := func() error {
+		err := commit(batch)
 		batch = batch[:0]
-		endEpoch()
+		return err
 	}
 
 	churnPair := 0
@@ -468,13 +410,8 @@ func (h *harness) runIngestOps(ctx context.Context, e *core.Engine, preps []*que
 				created = append(created, id)
 			}
 		}
-		for i, err := range e.CommitBatch(txs) {
-			if err == nil && created != nil {
-				churnLive = append(churnLive, created[i])
-			}
-		}
-		endEpoch()
-		return nil
+		churnLive = append(churnLive, created...)
+		return commit(txs)
 	}
 
 	for i := 0; i < h.opts.Ops; i++ {
@@ -491,42 +428,27 @@ func (h *harness) runIngestOps(ctx context.Context, e *core.Engine, preps []*que
 			// retry once against committed state. Same seed, same
 			// conflicts — the schedule stays replayable.
 			tx.Abort()
-			flush()
+			if err := flush(); err != nil {
+				return started, err
+			}
 			tx = e.Begin()
 			if err := preps[q.Num-1].RunCtx(ctx, tx, params, func(query.Row) bool { return true }); err != nil {
 				tx.Abort()
-				return started, fmt.Errorf("crashx: ingest IU%d: %w", q.Num, err)
+				return started, fmt.Errorf("crashx: IU%d: %w", q.Num, err)
 			}
 		}
-		if batch = append(batch, tx); len(batch) == ingestEpoch {
-			flush()
-			if err := churnEpoch(); err != nil {
+		if batch = append(batch, tx); len(batch) == epoch {
+			if err := flush(); err != nil {
 				return started, err
 			}
+			if h.opts.Mix == MixIngest {
+				if err := churnEpoch(); err != nil {
+					return started, err
+				}
+			}
 		}
 	}
-	flush()
-	h.mergeDeltas(e) // the tail of the run crosses merge code too
-	return started, nil
-}
-
-// mergeDeltas merges every index tree's delta into its base, in a
-// deterministic (shard, label, key) order so crash-event ordinals are
-// reproducible.
-func (h *harness) mergeDeltas(e *core.Engine) {
-	infos := e.Indexes()
-	sort.Slice(infos, func(i, j int) bool {
-		if infos[i].Shard != infos[j].Shard {
-			return infos[i].Shard < infos[j].Shard
-		}
-		if infos[i].Label != infos[j].Label {
-			return infos[i].Label < infos[j].Label
-		}
-		return infos[i].Key < infos[j].Key
-	})
-	for _, info := range infos {
-		_ = info.Tree.MergeDelta()
-	}
+	return started, flush()
 }
 
 // Explore enumerates (or samples) crash points over the configured

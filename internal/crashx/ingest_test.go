@@ -9,11 +9,10 @@ import (
 	"poseidon/internal/pmem"
 )
 
-// The ingest mix drives the write-optimized commit stack — group-commit
-// epochs through CommitBatch and delta-mode indexes with explicit merges
-// — so its crash points land before and after the epoch leader's group
-// fence and in the middle of delta merges. Every sampled point must
-// still recover to an fsck-clean image.
+// The ingest mix drives the write-optimized commit stack — a bulk base
+// load, then IU transactions in CommitBatch groups — so its crash points
+// land before and after each group's single publication fence. Every
+// sampled point must still recover to an fsck-clean image.
 
 func TestExploreIngestSmoke(t *testing.T) {
 	if testing.Short() {
@@ -70,8 +69,9 @@ func TestExploreIngestShardedSmoke(t *testing.T) {
 }
 
 // TestExploreIngestEpochPrefix enumerates the first crash points densely:
-// they cover the first group-commit epochs — the undo-lane batch append,
-// the leader's single group fence, and the per-member applies after it.
+// they cover the first CommitBatch groups — the undo-lane batch append,
+// the group's single publication fence, and the per-member applies
+// after it.
 func TestExploreIngestEpochPrefix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration is seconds-long; skipped in -short")

@@ -19,12 +19,16 @@
 // Because the index is a secondary structure that can always be rebuilt
 // from the primary tables (§4.2), leaf updates are made durable with
 // ordered flushes rather than full undo logging: a crash can leak a leaf
-// block mid-split but never corrupts the reachable chain.
+// block mid-split but never corrupts the reachable chain. Batched
+// inserts (InsertMany, InsertManyFlushed) flush each touched leaf once,
+// without that order, so a crash inside a batch can lose entries; the
+// engine's recovery restores them from the primary tables.
 package index
 
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"poseidon/internal/pmem"
@@ -87,7 +91,6 @@ const (
 	ihLeafHead = 16
 	ihRoot     = 24 // root node offset (persistent variant only)
 	ihHeight   = 32 // 0 = root is a leaf (persistent variant only)
-	ihDelta    = 40 // delta-region offset (0 = none; zero on pre-delta images)
 	ihSize     = 64
 
 	indexMagic = 0x49445831 // "IDX1"
@@ -130,16 +133,7 @@ type Tree struct {
 	mu     sync.RWMutex
 	root   uint64
 	height int // 0 = root is a leaf
-	count  uint64 // logical entries: base tree plus net pending delta ops
-
-	// LSM-style delta layer (see delta.go). deltaOff == 0 means the tree
-	// runs in the classic persist-per-insert mode.
-	deltaOff uint64     // persistent delta region (0 = disabled)
-	deltaCap int        // entry capacity of the region
-	dview    []deltaEnt // sorted overlay of pending ops, one per (key, id)
-	dcount   int        // ops appended to the region (volatile)
-	dpub     int        // ops covered by the last published count word
-	dnet     int        // net logical-count change the pending ops carry
+	count  uint64
 
 	// bulkLeaves, when non-nil, collects leaf offsets persistLeaf would
 	// have flushed so InsertMany can persist each touched leaf once.
@@ -250,15 +244,18 @@ func Open(kind Kind, pool *pmemobj.Pool, hdr uint64, opts Options) (*Tree, error
 			return nil, err
 		}
 	}
-	// Drain any published delta ops into the base tree before the index
-	// serves reads, so recovery consumers (fsck, reconcile, WalkLeaves)
-	// keep seeing the leaf chain as the complete ground truth.
-	if off := d.ReadU64(hdr + ihDelta); off != 0 {
-		if err := t.replayDelta(off); err != nil {
-			return nil, err
-		}
-	}
 	return t, nil
+}
+
+// Close releases the tree's private DRAM pool (the inner nodes of a
+// Hybrid tree, every node of a Volatile one) from the pmemobj registry,
+// so the arena can be reclaimed once the tree is unreachable. A
+// Persistent tree keeps everything in the graph pool and has nothing to
+// release. Idempotent; the tree must not be used afterwards.
+func (t *Tree) Close() {
+	if t.kind != Persistent {
+		t.innerPool.Close()
+	}
 }
 
 // Offset returns the persistent header offset (0 for volatile trees).
@@ -384,11 +381,6 @@ func (t *Tree) lowerBound(k storage.Value) uint64 {
 func (t *Tree) Lookup(k storage.Value) []uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.overlayIDs(k, t.lookupBase(k))
-}
-
-// lookupBase collects k's ids from the base tree only.
-func (t *Tree) lookupBase(k storage.Value) []uint64 {
 	var out []uint64
 	leaf := t.lowerBound(k)
 	for leaf != 0 {
@@ -413,13 +405,6 @@ func (t *Tree) lookupBase(k storage.Value) []uint64 {
 func (t *Tree) LookupFirst(k storage.Value) (uint64, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if len(t.dview) > 0 {
-		ids := t.overlayIDs(k, t.lookupBase(k))
-		if len(ids) == 0 {
-			return 0, false
-		}
-		return ids[0], true
-	}
 	leaf := t.lowerBound(k)
 	for leaf != 0 {
 		n := t.leafCount(leaf)
@@ -442,11 +427,7 @@ func (t *Tree) LookupFirst(k storage.Value) (uint64, bool) {
 func (t *Tree) Contains(k storage.Value, id uint64) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	e := entry{key: k, id: id}
-	if i, found := t.dviewFind(e); found {
-		return !t.dview[i].del
-	}
-	return t.containsLocked(e)
+	return t.containsLocked(entry{key: k, id: id})
 }
 
 // Range calls fn for every entry with lo <= key <= hi in (key, id) order,
@@ -454,10 +435,6 @@ func (t *Tree) Contains(k storage.Value, id uint64) bool {
 func (t *Tree) Range(lo, hi storage.Value, fn func(k storage.Value, id uint64) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if len(t.dview) > 0 {
-		t.rangeMerged(&lo, &hi, fn)
-		return
-	}
 	leaf := t.lowerBound(lo)
 	for leaf != 0 {
 		n := t.leafCount(leaf)
@@ -481,10 +458,6 @@ func (t *Tree) Range(lo, hi storage.Value, fn func(k storage.Value, id uint64) b
 func (t *Tree) Scan(fn func(k storage.Value, id uint64) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if len(t.dview) > 0 {
-		t.rangeMerged(nil, nil, fn)
-		return
-	}
 	leaf := t.leftmostLeaf()
 	for leaf != 0 {
 		n := t.leafCount(leaf)
@@ -507,20 +480,55 @@ func (t *Tree) leftmostLeaf() uint64 {
 }
 
 // Insert adds (k, id). Inserting an already-present pair is a no-op.
-// With the delta layer enabled the op is absorbed into the delta region
-// (no drain); otherwise it goes straight into the base tree.
 func (t *Tree) Insert(k storage.Value, id uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := entry{key: k, id: id}
-	if t.deltaOff != 0 {
-		return t.deltaInsert(e)
-	}
-	return t.insertBase(e)
+	return t.insertLocked(entry{key: k, id: id})
 }
 
-// insertBase inserts into the base tree, persisting every touched leaf.
-func (t *Tree) insertBase(e entry) error {
+// InsertMany bulk-inserts entries, persisting each touched leaf once at
+// the end — one drain for the whole batch instead of one per insert. The
+// bulk loader uses it to build indexes after the primary data lands.
+func (t *Tree) InsertMany(ents []Entry) error {
+	err := t.InsertManyFlushed(ents)
+	if t.durable {
+		t.leafDev.Drain()
+	}
+	return err
+}
+
+// InsertManyFlushed is InsertMany without the closing drain: every
+// touched leaf is flushed, and the caller's next Drain of the device
+// makes them durable. The commit pipeline uses it so index maintenance
+// shares the drain that releases the write locks.
+func (t *Tree) InsertManyFlushed(ents []Entry) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.durable {
+		t.bulkLeaves = make(map[uint64]struct{})
+		defer func() {
+			offs := make([]uint64, 0, len(t.bulkLeaves))
+			for off := range t.bulkLeaves {
+				offs = append(offs, off)
+			}
+			t.bulkLeaves = nil
+			sort.Slice(offs, func(a, b int) bool { return offs[a] < offs[b] })
+			for _, off := range offs {
+				t.leafDev.Flush(off, nodeBytes)
+			}
+		}()
+	}
+	for _, ent := range ents {
+		if err := t.insertLocked(entry{key: ent.Key, id: ent.ID}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// insertLocked inserts e, persisting every touched leaf. Caller holds
+// t.mu for writing.
+func (t *Tree) insertLocked(e entry) error {
 	var path []pathEnt
 	leaf := t.leafFor(e, &path)
 	n := t.leafCount(leaf)
@@ -683,14 +691,6 @@ func (t *Tree) Delete(k storage.Value, id uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := entry{key: k, id: id}
-	if t.deltaOff != 0 {
-		return t.deltaDelete(e)
-	}
-	return t.deleteBase(e)
-}
-
-// deleteBase removes from the base tree, persisting the touched leaf.
-func (t *Tree) deleteBase(e entry) bool {
 	leaf := t.leafFor(e, nil)
 	n := t.leafCount(leaf)
 	for i := 0; i < n; i++ {

@@ -64,24 +64,17 @@ func (j *Engine) InvalidateSession() {
 	j.mu.Unlock()
 }
 
-// Compile produces (or fetches) the compiled form of a plan. The paper's
-// flow: derive the query identifier, look up the persistent hash map; on
-// a hit, link the stored code; otherwise generate IR, run the
-// optimization cascade, lower, and persist.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (j *Engine) Compile(plan *query.Plan) (*Compiled, error) {
-	return j.CompileCtx(context.Background(), plan)
-}
-
-// CompileCtx is Compile with a cancellation context, checked at every
-// stage boundary (cache lookup, codegen, pass cascade, lowering). The
-// adaptive executor uses it so that cancelling a query also cancels its
-// background compilation instead of leaving a goroutine finishing work
-// nobody will use.
+// CompileCtx produces (or fetches) the compiled form of a plan. The
+// paper's flow: derive the query identifier, look up the persistent hash
+// map; on a hit, link the stored code; otherwise generate IR, run the
+// optimization cascade, lower, and persist. The context is checked at
+// every stage boundary (cache lookup, codegen, pass cascade, lowering).
+// The adaptive executor relies on it so that cancelling a query also
+// cancels its background compilation instead of leaving a goroutine
+// finishing work nobody will use.
 func (j *Engine) CompileCtx(ctx context.Context, plan *query.Plan) (*Compiled, error) {
 	if ctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
+		//poseidonlint:ignore ctx-threading nil-ctx guard: a nil context means no cancellation
 		ctx = context.Background()
 	}
 	ctx, sp := trace.StartSpan(ctx, "jit.compile", trace.KindJIT)
@@ -229,22 +222,15 @@ type RunStats struct {
 	}
 }
 
-// Run executes the plan in JIT mode within tx: compile (or fetch), run
-// the compiled pipeline single-threaded, then the breaker tail.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (j *Engine) Run(tx *core.Tx, plan *query.Plan, params query.Params, emit func(query.Row) bool) (RunStats, error) {
-	return j.RunCtx(context.Background(), tx, plan, params, emit)
-}
-
-// RunCtx is Run with a cancellation context. The compiled pipeline drives
-// the same transaction-level iterators as the interpreter, so a cancelled
-// context aborts mid-scan with per-record granularity and RunCtx returns
-// ctx.Err().
+// RunCtx executes the plan in JIT mode within tx: compile (or fetch),
+// run the compiled pipeline single-threaded, then the breaker tail. The
+// compiled pipeline drives the same transaction-level iterators as the
+// interpreter, so a cancelled context aborts mid-scan with per-record
+// granularity and RunCtx returns ctx.Err().
 func (j *Engine) RunCtx(cctx context.Context, tx *core.Tx, plan *query.Plan, params query.Params, emit func(query.Row) bool) (RunStats, error) {
 	var st RunStats
 	if cctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
+		//poseidonlint:ignore ctx-threading nil-ctx guard: a nil context means no cancellation
 		cctx = context.Background()
 	}
 	c, err := j.CompileCtx(cctx, plan)
@@ -291,21 +277,14 @@ func (j *Engine) runCompiled(c *Compiled, ctx *query.Ctx, emit func(query.Row) b
 	return c.Plan.RunTail(ctx, collected, emit)
 }
 
-// RunAdaptive executes the plan with the paper's adaptive strategy
+// RunAdaptiveCtx executes the plan with the paper's adaptive strategy
 // (§6.2, Fig 3): morsels are processed by the AOT interpreter while a
 // background goroutine compiles the pipeline; once compilation finishes,
 // the task function is swapped and the remaining morsels run compiled.
-// Plans that cannot be parallelized fall back to Run (JIT).
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (j *Engine) RunAdaptive(tx *core.Tx, plan *query.Plan, params query.Params, workers int, emit func(query.Row) bool) (RunStats, error) {
-	return j.RunAdaptiveCtx(context.Background(), tx, plan, params, workers, emit)
-}
-
-// RunAdaptiveCtx is RunAdaptive with a cancellation context: workers stop
-// claiming morsels, the background compilation is cancelled at its next
-// stage boundary, no goroutine is left behind, and the call returns
-// ctx.Err().
+// Plans that cannot be parallelized fall back to RunCtx (JIT). On
+// cancellation workers stop claiming morsels, the background compilation
+// is cancelled at its next stage boundary, no goroutine is left behind,
+// and the call returns ctx.Err().
 func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.Plan, params query.Params, workers int, emit func(query.Row) bool) (RunStats, error) {
 	var st RunStats
 	mp, ok := query.SplitForMorsels(plan)
@@ -313,7 +292,7 @@ func (j *Engine) RunAdaptiveCtx(cctx context.Context, tx *core.Tx, plan *query.P
 		return j.RunCtx(cctx, tx, plan, params, emit)
 	}
 	if cctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
+		//poseidonlint:ignore ctx-threading nil-ctx guard: a nil context means no cancellation
 		cctx = context.Background()
 	}
 	if workers <= 0 {

@@ -16,9 +16,9 @@ import "os"
 //	                       recovery trusts a commit whose data may never
 //	                       have reached media
 //	groupfence           — SnapshotAll publishes the batched undo
-//	                       entries' count without its fence (the group
-//	                       fence a commit-epoch leader issues once for
-//	                       the whole batch), so the entries are never
+//	                       entries' count without its fence (the one
+//	                       publication fence every commit issues for its
+//	                       whole group), so the entries are never
 //	                       durably valid and crash rollback misses them
 //
 // Never set this tag outside those tests.

@@ -197,22 +197,6 @@ func (p *Pool) Root() uint64 { return p.dev.ReadU64(hdrRoot) }
 // the built-in log fits a lane.
 func (p *Pool) LogCap() uint64 { return p.logCap }
 
-// LaneCap returns the undo-log capacity in bytes of the given lane
-// (lane 0 is the built-in log; see LogHeaderBytes for the fixed header
-// the capacity includes). Zero for unknown lanes. Group-commit leaders
-// size epochs against this so a batch can never overflow its shard's
-// lane mid-epoch.
-func (p *Pool) LaneCap(id int) uint64 {
-	if id == 0 {
-		return p.logCap
-	}
-	l := p.lane(id)
-	if l == nil {
-		return 0
-	}
-	return l.cap
-}
-
 // SetRoot durably points the pool at its root object. The write is 8 bytes
 // and therefore failure-atomic (C4).
 func (p *Pool) SetRoot(off uint64) {
@@ -267,6 +251,14 @@ func register(p *Pool) {
 		registry.pools = make(map[uint64]*Pool)
 	}
 	registry.pools[p.uuid] = p
+}
+
+// Registered returns the number of pools in the runtime registry. Leak
+// checks compare it before and after a workload.
+func Registered() int {
+	registry.mu.RLock()
+	defer registry.mu.RUnlock()
+	return len(registry.pools)
 }
 
 func unregister(p *Pool) {

@@ -115,32 +115,19 @@ func (tx *Tx) Abandon() {
 	tx.p.mu.Unlock()
 }
 
-// covered reports whether [off, off+n) lies entirely inside one range
-// this transaction has already snapshotted or note-written. Re-logging a
-// covered range is pure overhead: rollback restores entries in reverse
-// order, so the oldest snapshot of a range wins regardless.
-func (tx *Tx) covered(off, n uint64) bool {
-	for _, r := range tx.touched {
+// covers reports whether [off, off+n) lies entirely inside one of rs —
+// for a transaction's touched list, a range it has already snapshotted
+// or note-written. Re-logging a covered range is pure overhead: rollback
+// restores entries in reverse order, so the oldest snapshot of a range
+// wins regardless.
+func covers(rs []txRange, off, n uint64) bool {
+	for _, r := range rs {
 		if off >= r.off && off+n <= r.off+r.n {
 			return true
 		}
 	}
 	return false
 }
-
-// SnapshotCost returns the number of undo-log bytes a Snapshot of an
-// n-byte range consumes: the 16-byte entry header plus the old image
-// padded to 8 bytes. Group-commit leaders use it to size epochs against
-// LaneCap before entering the lane transaction.
-func SnapshotCost(n uint64) uint64 { return 16 + align(n, 8) }
-
-// LogHeaderBytes is the fixed per-log header (the cache line holding the
-// entry-count word); usable snapshot space is the log capacity minus
-// this.
-const LogHeaderBytes = logDataStart
-
-// LogFree returns the bytes remaining in this transaction's undo log.
-func (tx *Tx) LogFree() uint64 { return tx.logOff + tx.logCap - tx.logEnd }
 
 // Snapshot records the current contents of [off, off+n) in the undo log so
 // the range can be modified failure-atomically. It must be called before
@@ -154,7 +141,7 @@ func (tx *Tx) Snapshot(off, n uint64) error {
 	if off%8 != 0 {
 		panic("pmemobj: Snapshot offset must be 8-byte aligned")
 	}
-	if tx.covered(off, n) {
+	if covers(tx.touched, off, n) {
 		return nil
 	}
 	p := tx.p
@@ -191,12 +178,13 @@ type Range struct{ Off, N uint64 }
 
 // SnapshotAll records every listed range in the undo log with a single
 // durable publication of the entry count — one fence for the whole
-// batch instead of one per range. This is the group-commit leader's
-// batched append: K member transactions' undo images become valid
-// together at one fence. Ranges already covered by this transaction (or
-// by an earlier range in the same call) are skipped. If the surviving
-// batch does not fit the remaining log space, nothing is appended and
-// ErrLogFull is returned, so the caller can split the epoch and retry.
+// batch instead of one per range. The commit pipeline opens every
+// commit with it, so all member transactions' pre-known undo images
+// become valid together at one fence. Ranges already covered by this
+// transaction (or by an earlier range in the same call) are skipped. If
+// the surviving batch does not fit the remaining log space, nothing is
+// appended and ErrLogFull is returned, so the caller can split its
+// group and retry.
 func (tx *Tx) SnapshotAll(ranges []Range) error {
 	keep := make([]txRange, 0, len(ranges))
 	need := uint64(0)
@@ -207,21 +195,11 @@ func (tx *Tx) SnapshotAll(ranges []Range) error {
 		if r.Off%8 != 0 {
 			panic("pmemobj: SnapshotAll offset must be 8-byte aligned")
 		}
-		if tx.covered(r.Off, r.N) {
-			continue
-		}
-		dup := false
-		for _, k := range keep {
-			if r.Off >= k.off && r.Off+r.N <= k.off+k.n {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if covers(tx.touched, r.Off, r.N) || covers(keep, r.Off, r.N) {
 			continue
 		}
 		keep = append(keep, txRange{r.Off, r.N})
-		need += SnapshotCost(r.N)
+		need += 16 + align(r.N, 8)
 	}
 	if len(keep) == 0 {
 		return nil

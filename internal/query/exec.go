@@ -123,20 +123,14 @@ func BindParams(e *core.Engine, params Params) (map[string]storage.Value, error)
 	return out, nil
 }
 
-// Run executes the plan in interpretation mode within tx, calling emit
-// for every result row until exhaustion or emit returns false.
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (pr *Prepared) Run(tx *core.Tx, params Params, emit func(Row) bool) error {
-	return pr.RunCtx(context.Background(), tx, params, emit)
-}
-
-// RunCtx is Run with a cancellation context. The context is attached to
-// the transaction for the duration of the run, so a cancellation mid-scan
-// aborts the transaction (discarding any uncommitted writes) and RunCtx
-// returns ctx.Err().
+// RunCtx executes the plan in interpretation mode within tx, calling
+// emit for every result row until exhaustion or emit returns false. The
+// context is attached to the transaction for the duration of the run, so
+// a cancellation mid-scan aborts the transaction (discarding any
+// uncommitted writes) and RunCtx returns ctx.Err().
 func (pr *Prepared) RunCtx(ctx context.Context, tx *core.Tx, params Params, emit func(Row) bool) error {
 	if ctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
+		//poseidonlint:ignore ctx-threading nil-ctx guard: a nil context means no cancellation
 		ctx = context.Background()
 	}
 	bound, err := BindParams(pr.E, params)
@@ -157,13 +151,6 @@ func (pr *Prepared) RunCtx(ctx context.Context, tx *core.Tx, params Params, emit
 		return err
 	}
 	return run()
-}
-
-// Collect executes the plan and gathers all rows.
-//
-//poseidonlint:ignore ctx-threading legacy convenience shim over CollectCtx, kept for pre-session callers (CHANGES.md migration table)
-func (pr *Prepared) Collect(tx *core.Tx, params Params) ([]Row, error) {
-	return pr.CollectCtx(context.Background(), tx, params)
 }
 
 // CollectCtx executes the plan under ctx and gathers all rows.

@@ -398,27 +398,20 @@ func (mp *MorselPlan) RunTail(ctx *Ctx, tuples []Tuple, emit func(Row) bool) err
 	return run()
 }
 
-// RunParallel executes the plan with morsel-driven parallelism using the
-// given number of workers (0 = GOMAXPROCS). Plans that cannot be
+// RunParallelCtx executes the plan with morsel-driven parallelism using
+// the given number of workers (0 = GOMAXPROCS). Plans that cannot be
 // parallelized fall back to single-threaded interpretation. Result order
-// is nondeterministic across morsels.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (pr *Prepared) RunParallel(tx *core.Tx, params Params, workers int, emit func(Row) bool) error {
-	return pr.RunParallelCtx(context.Background(), tx, params, workers, emit)
-}
-
-// RunParallelCtx is RunParallel with a cancellation context: workers stop
-// claiming morsels once the context is cancelled, the in-flight morsels
-// drain (the shared transaction observes the context and aborts), every
-// worker goroutine exits, and the call returns ctx.Err().
+// is nondeterministic across morsels. Workers stop claiming morsels once
+// the context is cancelled, the in-flight morsels drain (the shared
+// transaction observes the context and aborts), every worker goroutine
+// exits, and the call returns ctx.Err().
 func (pr *Prepared) RunParallelCtx(cctx context.Context, tx *core.Tx, params Params, workers int, emit func(Row) bool) error {
 	mp, ok := SplitForMorsels(pr.Plan)
 	if !ok {
 		return pr.RunCtx(cctx, tx, params, emit)
 	}
 	if cctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
+		//poseidonlint:ignore ctx-threading nil-ctx guard: a nil context means no cancellation
 		cctx = context.Background()
 	}
 	if workers <= 0 {

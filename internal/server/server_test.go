@@ -147,6 +147,29 @@ func TestExplicitTransaction(t *testing.T) {
 	}
 }
 
+// TestExplicitTransactionsOnOneConnection: the session bound counts
+// live transactions only, so one connection runs more BEGIN/COMMIT
+// cycles than SessionMaxTxs allows open at once.
+func TestExplicitTransactionsOnOneConnection(t *testing.T) {
+	_, _, addr := startServer(t, Config{SessionMaxTxs: 8})
+	c := dial(t, addr)
+	for i := 0; i < 20; i++ {
+		if err := c.Begin(); err != nil {
+			t.Fatalf("BEGIN %d: %v", i, err)
+		}
+		if _, err := c.QueryText(`CREATE (:Cycle {i: $i})`, map[string]any{"i": int64(i)}); err != nil {
+			t.Fatalf("CREATE %d: %v", i, err)
+		}
+		if err := c.Commit(); err != nil {
+			t.Fatalf("COMMIT %d: %v", i, err)
+		}
+	}
+	rows, err := c.QueryText(`MATCH (n:Cycle) RETURN n.i`, nil)
+	if err != nil || len(rows) != 20 {
+		t.Fatalf("rows = %d, %v; want 20", len(rows), err)
+	}
+}
+
 // TestLDBCStatements resolves the built-in workload statement names and
 // runs one SR and one IU over a small generated dataset.
 func TestLDBCStatements(t *testing.T) {

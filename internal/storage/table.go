@@ -289,7 +289,7 @@ func (t *Table) BitmapWord(id uint64) uint64 {
 
 // BitmapWordOff returns the device offset of the occupancy word covering
 // id, for callers pre-declaring the exact ranges a release will touch
-// (group-commit leaders batching undo snapshots). False for ids beyond
+// (the commit pipeline batching undo snapshots). False for ids beyond
 // the allocated chunks.
 func (t *Table) BitmapWordOff(id uint64) (uint64, bool) {
 	ci := id / t.chunkCap
@@ -298,6 +298,31 @@ func (t *Table) BitmapWordOff(id uint64) (uint64, bool) {
 	}
 	slot := id % t.chunkCap
 	return t.dir[ci] + cBitmap + slot/64*8, true
+}
+
+// NextFreeWordOffs returns the device offsets of the occupancy words
+// holding the next n slots InsertShardTx(s) takes, for callers
+// pre-declaring the ranges their inserts will touch (the commit pipeline
+// batching undo snapshots). Fewer words come back when shard s lists
+// fewer than n free slots.
+func (t *Table) NextFreeWordOffs(s, n int) []uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s < 0 || s >= t.shards {
+		return nil
+	}
+	var out []uint64
+	// popFreeLocked drains the last listed chunk first, lowest slot first.
+	for i := len(t.free[s]) - 1; i >= 0 && n > 0; i-- {
+		chunk := t.dir[t.free[s][i]]
+		for w := uint64(0); w < t.bitmapLen/8 && n > 0; w++ {
+			if free := t.wordFree(chunk, w); free > 0 {
+				out = append(out, chunk+cBitmap+w*8)
+				n -= free
+			}
+		}
+	}
+	return out
 }
 
 // Occupied reports whether id names an allocated record slot.
@@ -463,15 +488,20 @@ func (t *Table) shardFreeSlotsLocked(s, limit int) int {
 func (t *Table) chunkFreeCount(chunkOff uint64) int {
 	total := 0
 	for w := uint64(0); w < t.bitmapLen/8; w++ {
-		bits := t.dev.ReadU64(chunkOff + cBitmap + w*8)
-		hi := (w + 1) * 64
-		if hi > t.chunkCap {
-			// Mask out the padding bits beyond the chunk's capacity.
-			bits |= ^uint64(0) << (t.chunkCap - w*64)
-		}
-		total += 64 - mathbits.OnesCount64(bits)
+		total += t.wordFree(chunkOff, w)
 	}
 	return total
+}
+
+// wordFree returns the number of free slots in occupancy word w of the
+// chunk.
+func (t *Table) wordFree(chunkOff, w uint64) int {
+	bits := t.dev.ReadU64(chunkOff + cBitmap + w*8)
+	if hi := (w + 1) * 64; hi > t.chunkCap {
+		// Mask out the padding bits beyond the chunk's capacity.
+		bits |= ^uint64(0) << (t.chunkCap - w*64)
+	}
+	return 64 - mathbits.OnesCount64(bits)
 }
 
 // shardHasFreeLocked reports whether shard s has a chunk with a free

@@ -146,15 +146,17 @@ func newDBTelemetry(db *DB, cfg TelemetryConfig) *dbTelemetry {
 		"Versions inspected per DRAM version-chain lookup.",
 		telemetry.LengthBuckets(64), 1)
 
-	// Group-commit epoch counters, sampled from the engine's atomics.
+	// Commit-pipeline counters, sampled from the engine's atomics. Every
+	// pipeline run counts as an epoch: a Tx.Commit with writes is an
+	// epoch of one, a CommitBatch group an epoch of its members.
 	reg.CounterFunc("poseidon_group_commit_epochs_total",
-		"Commit epochs persisted by group-commit leaders.",
+		"Commit pipeline runs (epochs) persisted; a Tx.Commit with writes is an epoch of one, a CommitBatch group an epoch of its members.",
 		func() uint64 { ep, _, _ := db.engine.GroupCommitStats(); return ep })
 	reg.CounterFunc("poseidon_group_commit_txs_total",
-		"Transactions committed through group-commit epochs.",
+		"Transactions committed through commit pipeline runs (epochs).",
 		func() uint64 { _, txs, _ := db.engine.GroupCommitStats(); return txs })
 	reg.CounterFunc("poseidon_group_commit_splits_total",
-		"Epochs split to fit the shard undo-log lane budget.",
+		"Commit groups split in half because their undo images overflowed the shard's undo-log lane.",
 		func() uint64 { _, _, sp := db.engine.GroupCommitStats(); return sp })
 
 	// JIT compiler counters.

@@ -7,13 +7,57 @@ package poseidon
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"poseidon/internal/pmem"
+	"poseidon/internal/pmemobj"
 	"poseidon/internal/query"
 )
+
+// TestCloseReleasesIndexPools: a Hybrid index keeps its inner nodes in
+// a private DRAM pool per shard tree. Close and Crash must take those
+// pools out of the pmemobj registry together with the graph pool, so
+// Open/Reopen cycles leave no arenas behind.
+func TestCloseReleasesIndexPools(t *testing.T) {
+	cfg := Config{Mode: PMem, PoolSize: 64 << 20, Shards: 2}
+	base := pmemobj.Registered()
+	open := func() *DB {
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedSocial(t, db)
+		if err := db.CreateIndex("Person", "name", HybridIndex); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+
+	db := open()
+	if got := pmemobj.Registered(); got <= base {
+		t.Fatalf("registry holds %d pools with an open DB, want more than %d", got, base)
+	}
+	db.Close()
+	if got := pmemobj.Registered(); got != base {
+		t.Fatalf("after Close: %d registered pools, want %d", got, base)
+	}
+
+	dev := open().Crash()
+	db, err := Reopen(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := db.Engine().IndexFor("Person", "name"); !ok {
+		t.Fatal("index lost across Reopen")
+	}
+	db.Close()
+	if got := pmemobj.Registered(); got != base {
+		t.Fatalf("after Crash+Reopen+Close: %d registered pools, want %d", got, base)
+	}
+}
 
 func TestDeviceImageSaveLoadReopen(t *testing.T) {
 	// Run the whole engine stack under the strict flush checker: a read
@@ -54,7 +98,7 @@ func TestDeviceImageSaveLoadReopen(t *testing.T) {
 		Input: &query.IndexScan{Label: "Person", Key: "name", Value: &query.Param{Name: "n"}},
 		Cols:  []query.Expr{&query.IDOf{Col: 0}},
 	}}
-	rows, err := db2.Query(plan, query.Params{"n": "alice"})
+	rows, err := db2.QueryCtx(context.Background(), plan, query.Params{"n": "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,14 +135,6 @@ type Config struct {
 	// slow-query log (see TelemetryConfig). Off by default: the hot paths
 	// then pay a single nil-check branch.
 	Telemetry TelemetryConfig
-	// GroupCommit batches concurrent single-shard committers into shared
-	// commit epochs (one drain/fence cycle per epoch). See
-	// core.GroupCommitConfig; zero value = off, per-transaction commits.
-	GroupCommit core.GroupCommitConfig
-	// IndexDelta absorbs secondary-index maintenance into per-tree
-	// LSM-style delta regions, publishing once per commit epoch. See
-	// core.IndexDeltaConfig; zero value = off.
-	IndexDelta core.IndexDeltaConfig
 }
 
 // defaultStmtCacheSize bounds the statement cache when Config leaves it 0.
@@ -178,7 +170,7 @@ func stmtCacheCap(cfg Config) int {
 
 // Open creates a new database.
 func Open(cfg Config) (*DB, error) {
-	e, err := core.Open(core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards, GroupCommit: cfg.GroupCommit, IndexDelta: cfg.IndexDelta})
+	e, err := core.Open(core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +190,7 @@ func Open(cfg Config) (*DB, error) {
 // running crash recovery. Use db.Device() to obtain the device before a
 // crash.
 func Reopen(dev *pmem.Device, cfg Config) (*DB, error) {
-	e, err := core.Reopen(dev, core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards, GroupCommit: cfg.GroupCommit, IndexDelta: cfg.IndexDelta})
+	e, err := core.Reopen(dev, core.Config{Mode: cfg.Mode, PoolSize: cfg.PoolSize, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}
@@ -240,32 +232,18 @@ func (db *DB) CreateIndex(label, key string, kind IndexKind) error {
 	return nil
 }
 
-// Query runs a plan in a fresh read-only transaction with the default
-// (Interpret) mode and returns all rows decoded to Go values. Plans
-// containing updates are rejected with ErrUpdatePlan — the transaction
-// is always rolled back, so the updates would silently vanish; use Exec
-// instead.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) Query(plan *query.Plan, params query.Params) ([][]any, error) {
-	return db.QueryModeCtx(context.Background(), plan, params, Interpret)
-}
-
-// QueryCtx is Query with a context: cancellation aborts execution
-// between records and rolls the transaction back.
+// QueryCtx runs a plan in a fresh read-only transaction with the
+// default (Interpret) mode and returns all rows decoded to Go values.
+// Plans containing updates are rejected with ErrUpdatePlan — the
+// transaction is always rolled back, so the updates would silently
+// vanish; use ExecCtx instead. Cancellation aborts execution between
+// records and rolls the transaction back.
 func (db *DB) QueryCtx(ctx context.Context, plan *query.Plan, params query.Params) ([][]any, error) {
 	return db.QueryModeCtx(ctx, plan, params, Interpret)
 }
 
-// QueryMode runs a plan with an explicit execution mode. Like Query it
-// rejects update plans with ErrUpdatePlan.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) QueryMode(plan *query.Plan, params query.Params, mode ExecMode) ([][]any, error) {
-	return db.QueryModeCtx(context.Background(), plan, params, mode)
-}
-
-// QueryModeCtx is QueryMode with a context.
+// QueryModeCtx is QueryCtx with an explicit execution mode. Like
+// QueryCtx it rejects update plans with ErrUpdatePlan.
 func (db *DB) QueryModeCtx(ctx context.Context, plan *query.Plan, params query.Params, mode ExecMode) ([][]any, error) {
 	if plan.HasUpdates() {
 		return nil, ErrUpdatePlan
@@ -275,17 +253,10 @@ func (db *DB) QueryModeCtx(ctx context.Context, plan *query.Plan, params query.P
 	return db.QueryTxCtx(ctx, tx, plan, params, mode)
 }
 
-// QueryTx runs a plan inside an existing transaction, so updates observe
-// and join the transaction's effects; committing remains the caller's
-// job.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) QueryTx(tx *Tx, plan *query.Plan, params query.Params, mode ExecMode) ([][]any, error) {
-	return db.QueryTxCtx(context.Background(), tx, plan, params, mode)
-}
-
-// QueryTxCtx is QueryTx with a context. On cancellation the transaction
-// is aborted mid-scan and the context's error returned.
+// QueryTxCtx runs a plan inside an existing transaction, so updates
+// observe and join the transaction's effects; committing remains the
+// caller's job. On cancellation the transaction is aborted mid-scan and
+// the context's error returned.
 func (db *DB) QueryTxCtx(ctx context.Context, tx *Tx, plan *query.Plan, params query.Params, mode ExecMode) ([][]any, error) {
 	stmt, err := db.PreparePlan(plan)
 	if err != nil {
@@ -318,15 +289,8 @@ func (db *DB) collect(ctx context.Context, tx *Tx, stmt *Stmt, params query.Para
 	return out, nil
 }
 
-// Exec runs an update plan inside a fresh transaction and commits it,
-// returning the number of result rows.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) Exec(plan *query.Plan, params query.Params) (int, error) {
-	return db.ExecCtx(context.Background(), plan, params)
-}
-
-// ExecCtx is Exec with a context. A cancelled context rolls the
+// ExecCtx runs an update plan inside a fresh transaction and commits
+// it, returning the number of result rows. A cancelled context rolls the
 // transaction back — partially applied updates never commit.
 func (db *DB) ExecCtx(ctx context.Context, plan *query.Plan, params query.Params) (int, error) {
 	stmt, err := db.PreparePlan(plan)
@@ -345,36 +309,22 @@ func (db *DB) ExecCtx(ctx context.Context, plan *query.Plan, params query.Params
 	return n, nil
 }
 
-// Cypher parses and runs a Cypher-like statement (the paper's §1 "we
+// CypherCtx parses and runs a Cypher-like statement (the paper's §1 "we
 // support Cypher-like navigational queries") in its own transaction,
 // committing updates. Values are decoded to Go types. Statements go
 // through the prepared-statement cache, so repeating one costs a single
 // parse/plan (see CacheStats).
 //
-//	rows, err := db.Cypher(`MATCH (p:Person {name: $n})-[:knows]->(f)
-//	                        RETURN f.name ORDER BY f.name`, query.Params{"n": "ada"})
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) Cypher(src string, params query.Params) ([][]any, error) {
-	return db.CypherModeCtx(context.Background(), src, params, Interpret)
-}
-
-// CypherCtx is Cypher with a context.
+//	rows, err := db.CypherCtx(ctx, `MATCH (p:Person {name: $n})-[:knows]->(f)
+//	                                RETURN f.name ORDER BY f.name`, query.Params{"n": "ada"})
 func (db *DB) CypherCtx(ctx context.Context, src string, params query.Params) ([][]any, error) {
 	return db.CypherModeCtx(ctx, src, params, Interpret)
 }
 
-// CypherMode runs a Cypher-like statement with an explicit execution
-// mode. Read-only statements may use any mode; updates run reliably under
-// Interpret and JIT.
-//
-//poseidonlint:ignore ctx-threading legacy pre-session shim; kept per the CHANGES.md migration table
-func (db *DB) CypherMode(src string, params query.Params, mode ExecMode) ([][]any, error) {
-	return db.CypherModeCtx(context.Background(), src, params, mode)
-}
-
-// CypherModeCtx is CypherMode with a context: cancellation aborts the
-// statement's transaction, committing nothing.
+// CypherModeCtx is CypherCtx with an explicit execution mode.
+// Read-only statements may use any mode; updates run reliably under
+// Interpret and JIT. Cancellation aborts the statement's transaction,
+// committing nothing.
 func (db *DB) CypherModeCtx(ctx context.Context, src string, params query.Params, mode ExecMode) ([][]any, error) {
 	stmt, err := db.Prepare(src)
 	if err != nil {
@@ -406,7 +356,7 @@ func (db *DB) Explain(plan *query.Plan) string {
 	} else {
 		b.WriteString("pipeline:  not single-chain (join): interpreter only\n")
 	}
-	if c, err := db.jit.Compile(plan); err == nil {
+	if c, err := db.jit.CompileCtx(context.Background(), plan); err == nil {
 		fmt.Fprintf(&b, "jit:       compiled in %v (cache hit: %v)\n", c.CompileTime, c.FromCache)
 	} else {
 		fmt.Fprintf(&b, "jit:       not compilable (%v)\n", err)

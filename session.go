@@ -88,7 +88,7 @@ func (s *Session) Begin() (*Tx, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	if s.cfg.MaxTxs > 0 && len(s.txs) >= s.cfg.MaxTxs {
+	if s.atLimitLocked() {
 		return nil, ErrSessionLimit
 	}
 	tx := s.db.engine.Begin()
@@ -104,11 +104,24 @@ func (s *Session) track(tx *core.Tx) error {
 	if s.closed {
 		return ErrSessionClosed
 	}
-	if s.cfg.MaxTxs > 0 && len(s.txs) >= s.cfg.MaxTxs {
+	if s.atLimitLocked() {
 		return ErrSessionLimit
 	}
 	s.txs[tx] = struct{}{}
 	return nil
+}
+
+// atLimitLocked first forgets the transactions that have ended — an
+// explicit transaction leaves the session through Tx.Commit or Tx.Abort,
+// which the session does not see — and then reports whether the live
+// ones already fill MaxTxs. Caller holds s.mu.
+func (s *Session) atLimitLocked() bool {
+	for tx := range s.txs {
+		if tx.Done() {
+			delete(s.txs, tx)
+		}
+	}
+	return s.cfg.MaxTxs > 0 && len(s.txs) >= s.cfg.MaxTxs
 }
 
 // release forgets a transaction that has ended.
@@ -148,7 +161,7 @@ func (s *Session) Close() error {
 // its own. The returned cancel must be called when execution ends.
 func (s *Session) context(ctx context.Context) (context.Context, context.CancelFunc) {
 	if ctx == nil {
-		//poseidonlint:ignore ctx-threading nil-ctx compatibility guard for legacy callers
+		//poseidonlint:ignore ctx-threading nil-ctx guard: a nil context means no cancellation
 		ctx = context.Background()
 	}
 	if s.cfg.Timeout > 0 {

@@ -20,14 +20,14 @@ func TestStmtCacheSingleParse(t *testing.T) {
 	db := openTestDB(t, DRAM)
 	seedSocial(t, db)
 	src := `MATCH (p:Person {name: $n}) RETURN p.age`
-	if _, err := db.Cypher(src, query.Params{"n": "alice"}); err != nil {
+	if _, err := db.CypherCtx(context.Background(), src, query.Params{"n": "alice"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Cypher(src, query.Params{"n": "bob"}); err != nil {
+	if _, err := db.CypherCtx(context.Background(), src, query.Params{"n": "bob"}); err != nil {
 		t.Fatal(err)
 	}
 	// Same statement, reformatted: the fingerprint normalizes it.
-	if _, err := db.Cypher("match  (p:Person\n{name: $n})  return p.age", query.Params{"n": "carol"}); err != nil {
+	if _, err := db.CypherCtx(context.Background(), "match  (p:Person\n{name: $n})  return p.age", query.Params{"n": "carol"}); err != nil {
 		t.Fatal(err)
 	}
 	st := db.CacheStats()
@@ -124,10 +124,10 @@ func TestUpdateGuard(t *testing.T) {
 	create := &query.Plan{Root: &query.CreateNode{Label: "Person", Props: []query.PropSpec{
 		{Key: "name", Val: &query.Const{Val: "ghost"}},
 	}}}
-	if _, err := db.Query(create, nil); !errors.Is(err, ErrUpdatePlan) {
+	if _, err := db.QueryCtx(context.Background(), create, nil); !errors.Is(err, ErrUpdatePlan) {
 		t.Fatalf("Query: err = %v, want ErrUpdatePlan", err)
 	}
-	if _, err := db.QueryMode(create, nil, Parallel); !errors.Is(err, ErrUpdatePlan) {
+	if _, err := db.QueryModeCtx(context.Background(), create, nil, Parallel); !errors.Is(err, ErrUpdatePlan) {
 		t.Fatalf("QueryMode: err = %v, want ErrUpdatePlan", err)
 	}
 	sess := db.NewSession(SessionConfig{})
@@ -143,7 +143,7 @@ func TestUpdateGuard(t *testing.T) {
 		t.Fatalf("a rejected update leaked: %d nodes", db.NodeCount())
 	}
 	// The same plan commits through the update paths.
-	if n, err := db.Exec(create, nil); err != nil || n != 1 {
+	if n, err := db.ExecCtx(context.Background(), create, nil); err != nil || n != 1 {
 		t.Fatalf("Exec: n=%d err=%v", n, err)
 	}
 	if n, err := sess.Exec(context.Background(), stmt, nil); err != nil || n != 1 {
@@ -160,7 +160,7 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 	db := openTestDB(t, DRAM)
 	seedPeople(t, db, 1000)
 	plan := scanAllPlan()
-	want, err := db.Query(plan, nil)
+	want, err := db.QueryCtx(context.Background(), plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,6 +390,27 @@ func TestSessionMaxTxs(t *testing.T) {
 	}
 	tx2.Abort()
 	tx1.Abort()
+}
+
+// TestSessionMaxTxsCountsOnlyLive: explicit transactions ended through
+// Tx.Commit or Tx.Abort stop counting against MaxTxs, so a session runs
+// any number of Begin/Commit cycles under a small bound.
+func TestSessionMaxTxsCountsOnlyLive(t *testing.T) {
+	db := openTestDB(t, DRAM)
+	sess := db.NewSession(SessionConfig{MaxTxs: 8})
+	defer sess.Close()
+	for i := 0; i < 20; i++ {
+		tx, err := sess.Begin()
+		if err != nil {
+			t.Fatalf("Begin %d: %v", i, err)
+		}
+		if _, err := tx.CreateNode("Cycle", map[string]any{"i": int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("Commit %d: %v", i, err)
+		}
+	}
 }
 
 // TestSessionMaxTxsConcurrentBegin: hammering Begin from many
